@@ -31,7 +31,7 @@ def main():
     for d in (0.5, 1.0, 2.0, 3.0, 3.7):
         p_rx = received_power(link, d, 0.0)
         p_dc = harvest_rate(link, p_rx)
-        print(f"{d:6.1f} {fspl_db(d, link.frequency):10.2f} {p_rx * 1e3:14.3f} {p_dc * 1e3:13.3f}")
+        print(f"{d:6.1f} {fspl_db(link.frequency, d):10.2f} {p_rx * 1e3:14.3f} {p_dc * 1e3:13.3f}")
     print()
 
     print("incidence roll-off at 1 m")

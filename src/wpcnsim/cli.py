@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from wpcnsim.config_io import (
+    _read_config_file,
     parse_config_text,
     render_config,
     sha256_hex,
@@ -115,11 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> ScenarioConfig:
     if getattr(args, "config", None):
-        try:
-            data = Path(args.config).read_bytes()
-        except OSError as err:
-            raise ConfigError([f"{args.config}: {err.strerror or err}"]) from err
-        config = parse_config_text(data.decode("utf-8"), source=str(args.config))
+        text = _read_config_file(args.config)
+        config = parse_config_text(text, source=str(args.config))
     else:
         config = ScenarioConfig()
     overrides = {}

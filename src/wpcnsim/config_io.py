@@ -17,10 +17,9 @@ from pathlib import Path
 from wpcnsim import __version__
 from wpcnsim.mission import (
     ConfigError,
-    EnergyCosts,
-    LinkParams,
     MissionLedger,
     ScenarioConfig,
+    _leaves,
     validate_config,
 )
 from wpcnsim.sweep import (
@@ -46,56 +45,35 @@ __all__ = [
     "write_manifest",
 ]
 
-_LINK_KEYS = (
-    "frequency",
-    "tx_power",
-    "tx_gain_dbi",
-    "rx_gain_dbi",
-    "rf_dc_efficiency",
-    "harvest_threshold",
-    "angle_exponent",
-)
-_COST_KEYS = ("e_measurement", "e_tx_packet", "e_rx_packet")
-_TOP_KEYS = (
-    "n_sensors",
-    "layout",
-    "placement",
-    "n_stops",
-    "dwell_time",
-    "phase_split",
-    "uav_flight_power",
-    "uav_battery",
-    "cruise_speed",
-    "path_perimeter",
-    "standoff",
-    "aspect_ratio",
-    "cluster_spacing",
-    "wpt_draw_mode",
-    "p2_phase",
-)
-CONFIG_KEYS = _LINK_KEYS + _COST_KEYS + _TOP_KEYS
-
-_INT_KEYS = frozenset({"n_sensors", "n_stops"})
-_TOKEN_KEYS = frozenset({"layout", "placement", "wpt_draw_mode"})
+# key -> (owner, type): owner is the nested dataclass ("link", "costs") or
+# "" for a top-level field; the type is that of the key's default value
+_SCHEMA = {
+    key: (owner, type(value)) for owner, key, value in _leaves(ScenarioConfig())
+}
+CONFIG_KEYS = tuple(_SCHEMA)
 _MODE_ALIASES = {"included-in-flight-power": "included"}
 
 
 def _convert(key: str, text: str):
-    if key in _TOKEN_KEYS:
+    kind = _SCHEMA[key][1]
+    if kind is str:
         token = text.lower()
         return _MODE_ALIASES.get(token, token)
-    if key in _INT_KEYS:
-        return int(text)
-    return float(text)
+    return kind(text)
+
+
+def _read_config_file(path) -> str:
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as err:
+        raise ConfigError([f"{path}: {err.strerror or err}"]) from err
+    except UnicodeDecodeError as err:
+        raise ConfigError([f"{path}: not UTF-8 text (byte {err.start})"]) from err
 
 
 def parse_config(path) -> ScenarioConfig:
     """Read and validate a config file; unset keys keep their defaults."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise ConfigError([f"{path}: {err.strerror or err}"]) from err
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(_read_config_file(path), source=str(path))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
@@ -128,7 +106,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
         try:
             values[key] = _convert(key, value)
         except ValueError:
-            kind = "integer" if key in _INT_KEYS else "number"
+            kind = "integer" if _SCHEMA[key][1] is int else "number"
             errors.append(
                 f"{source}:{lineno}: key {key!r}: cannot parse {value!r} as {kind}"
             )
@@ -145,42 +123,29 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
 
 def _build_config(values: dict, errors: list) -> ScenarioConfig:
     base = ScenarioConfig()
-    link_kwargs = {k: values[k] for k in _LINK_KEYS if k in values}
-    cost_kwargs = {k: values[k] for k in _COST_KEYS if k in values}
-    top_kwargs = {k: values[k] for k in _TOP_KEYS if k in values}
-    try:
-        link = dataclasses.replace(base.link, **link_kwargs)
-    except ValueError as err:
-        errors.append(str(err))
-        link = base.link
-    try:
-        costs = dataclasses.replace(base.costs, **cost_kwargs)
-    except ValueError as err:
-        errors.append(str(err))
-        costs = base.costs
-    return dataclasses.replace(base, link=link, costs=costs, **top_kwargs)
-
-
-def _config_value(config: ScenarioConfig, key: str):
-    if key in _LINK_KEYS:
-        return getattr(config.link, key)
-    if key in _COST_KEYS:
-        return getattr(config.costs, key)
-    return getattr(config, key)
+    kwargs = {}
+    for key, value in values.items():
+        kwargs.setdefault(_SCHEMA[key][0], {})[key] = value
+    top = kwargs.pop("", {})
+    for owner, nested in kwargs.items():
+        try:
+            top[owner] = dataclasses.replace(getattr(base, owner), **nested)
+        except ValueError as err:
+            errors.append(str(err))
+    return dataclasses.replace(base, **top)
 
 
 def render_config(config: ScenarioConfig) -> str:
     """Canonical flat text for a config; parsing it back round-trips."""
     lines = ["# scenario configuration; omitted keys keep these values"]
-    for key in CONFIG_KEYS:
-        value = _config_value(config, key)
+    for _, key, value in _leaves(config):
         lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
 def config_echo(config: ScenarioConfig) -> dict:
     """Every resolved parameter exactly once, keyed like the config file."""
-    return {key: _config_value(config, key) for key in CONFIG_KEYS}
+    return {key: value for _, key, value in _leaves(config)}
 
 
 def sha256_hex(data: bytes) -> str:

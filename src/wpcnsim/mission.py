@@ -13,12 +13,13 @@ ascending id) so repeated runs produce bit-identical ledgers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from wpcnsim.geometry import EllipseSpec, ellipse_from_perimeter
+from wpcnsim.geometry import EllipseSpec, ellipse_from_perimeter, equidistant_arcs
 from wpcnsim.layout import (
     SensorField,
     StopPlan,
@@ -144,9 +145,71 @@ def _flight_path(aspect_ratio: float, perimeter: float) -> EllipseSpec:
     return ellipse_from_perimeter(aspect_ratio, perimeter)
 
 
-def validate_config(config: ScenarioConfig) -> list:
-    """Check every invariant and return all violations, not just the first."""
+def _leaves(config: ScenarioConfig):
+    """(owner, key, value) per config-file key; owner is "link", "costs" or ""."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if is_dataclass(value):
+            for sub in fields(value):
+                yield field.name, sub.name, getattr(value, sub.name)
+        else:
+            yield "", field.name, value
+
+
+def _geometry(config: ScenarioConfig):
+    """The flight path, sensor field and stop plan that the mission flies.
+
+    Each stage runs once its inputs are built and its ValueError becomes one
+    violation. The p2 phase is checked under every placement, because a sweep
+    turns p1 bases into p2 cells.
+    """
     errors = []
+
+    def attempt(build, *args):
+        if any(arg is None for arg in args):
+            return None
+        try:
+            return build(*args)
+        except ValueError as err:
+            errors.append(str(err))
+            return None
+
+    path = attempt(_flight_path, config.aspect_ratio, config.path_perimeter)
+    if config.layout == "s1":
+        field = attempt(place_sensors_even, path, config.n_sensors, config.standoff)
+    else:
+        field = attempt(
+            place_sensors_paired,
+            path,
+            config.n_sensors,
+            config.cluster_spacing,
+            config.standoff,
+        )
+    phase = attempt(equidistant_arcs, path, 1, config.p2_phase)
+    plan = None
+    if config.placement == "p1":
+        plan = attempt(place_stops_facing, path, field, config.n_stops, config.dwell_time)
+    elif phase is not None:
+        plan = attempt(
+            place_stops_equal_arcs, path, config.n_stops, config.dwell_time, config.p2_phase
+        )
+    if errors:
+        raise ConfigError(errors)
+    return path, field, plan
+
+
+def validate_config(config: ScenarioConfig) -> list:
+    """Check every invariant and return all violations, not just the first.
+
+    Once the rules on single values hold (tokens, counts, signs, finite
+    numbers), the geometry is built as run_mission builds it, so the path
+    limits hold against the realized path; each failing stage adds a message.
+    """
+    errors = [
+        f"{key} must be finite, got {value}"
+        for _, key, value in _leaves(config)
+        if isinstance(value, float) and not math.isfinite(value)
+    ]
     if config.layout not in ("s1", "s2"):
         errors.append(f"layout must be s1 or s2, got {config.layout!r}")
     if config.placement not in ("p1", "p2"):
@@ -171,32 +234,11 @@ def validate_config(config: ScenarioConfig) -> list:
         errors.append(f"uav_battery must be >= 0, got {config.uav_battery}")
     if not config.cruise_speed > 0:
         errors.append(f"cruise_speed must be > 0, got {config.cruise_speed}")
-    path_ok = config.path_perimeter > 0 and config.aspect_ratio >= 1
-    if not path_ok:
-        errors.append(
-            f"need path_perimeter > 0 and aspect_ratio >= 1, got "
-            f"{config.path_perimeter} and {config.aspect_ratio}"
-        )
-    if not config.standoff > 0:
-        errors.append(f"standoff must be > 0, got {config.standoff}")
-    elif path_ok:
-        path = _flight_path(config.aspect_ratio, config.path_perimeter)
-        rho_min = path.semi_minor**2 / path.semi_major
-        if config.standoff >= rho_min:
-            errors.append(
-                f"standoff {config.standoff} reaches the path's minimum "
-                f"radius of curvature {rho_min:.6g}"
-            )
-    if config.layout == "s2" and config.n_sensors >= 2 and not config.n_sensors % 2:
-        n_pairs = config.n_sensors // 2
-        if path_ok and not 0.0 < config.cluster_spacing < config.path_perimeter / n_pairs:
-            errors.append(
-                f"cluster_spacing {config.cluster_spacing} does not fit {n_pairs} pairs"
-            )
-    if path_ok and not 0.0 <= config.p2_phase < config.path_perimeter:
-        errors.append(
-            f"p2_phase must lie in [0, path_perimeter), got {config.p2_phase}"
-        )
+    if not errors:
+        try:
+            _geometry(config)
+        except ConfigError as err:
+            errors.extend(err.errors)
     return errors
 
 
@@ -228,20 +270,7 @@ def run_mission(config: ScenarioConfig) -> MissionLedger:
     errors = validate_config(config)
     if errors:
         raise ConfigError(errors)
-    path = _flight_path(config.aspect_ratio, config.path_perimeter)
-    if config.layout == "s1":
-        field = place_sensors_even(path, config.n_sensors, config.standoff)
-    else:
-        field = place_sensors_paired(
-            path, config.n_sensors, config.cluster_spacing, config.standoff
-        )
-    if config.placement == "p1":
-        plan = place_stops_facing(path, field, config.n_stops, config.dwell_time)
-    else:
-        plan = place_stops_equal_arcs(
-            path, config.n_stops, config.dwell_time, config.p2_phase
-        )
-    return simulate_tour(config, path, field, plan)
+    return simulate_tour(config, *_geometry(config))
 
 
 def simulate_tour(

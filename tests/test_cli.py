@@ -1,5 +1,6 @@
 """Config file parsing, artifact emission, and command-line behavior."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -18,6 +19,7 @@ from wpcnsim.config_io import (
     write_manifest,
     write_mission_summary,
     write_sweep_csv,
+    write_sweep_summary,
 )
 from wpcnsim.mission import ConfigError, ScenarioConfig, run_mission
 from wpcnsim.sweep import sweep
@@ -185,6 +187,20 @@ def test_sweep_csv_byte_identical_across_runs(tmp_path, small_table):
     blob = first.read_bytes()
     assert blob == second.read_bytes()
     assert b"\r" not in blob
+
+
+def test_default_sweep_artifacts_match_golden_digests(tmp_path, default_table):
+    digest = sha256_hex(render_config(DEFAULTS).encode("utf-8"))
+    paths = [
+        write_sweep_csv(default_table, tmp_path),
+        write_sweep_summary(default_table, tmp_path),
+        write_manifest(DEFAULTS, digest, ["summary.json", "sweep.csv"], tmp_path),
+    ]
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == [
+        "20bea6f9a386cb4b85f30dacc744b10fe2af93d6b509047f487a551251855af8",
+        "0535f6dd75ec2e6919e44080782a3af259df1ea63a1678b204f99b65d991f6de",
+        "1e0f9ea8b24eead2b72a2fda687e7c76ed19c8bef6373ba1cde482efc6bb4396",
+    ]
 
 
 def test_mission_summary_matches_ledger(tmp_path):
