@@ -211,10 +211,15 @@ def _cmd_sweep(args) -> int:
     except OSError as err:
         print(f"cannot write to {args.out}: {err}", file=sys.stderr)
         return EXIT_IO
-    n_infeasible = sum(1 for cell in table.cells.values() if not cell.feasible)
-    print(f"{len(table.cells)} cells ({n_infeasible} infeasible) -> {csv_path}")
-    if args.require_feasible and n_infeasible:
-        print(f"{n_infeasible} swept cells exceed the battery", file=sys.stderr)
+    cells = table.cells.values()
+    n_errors = sum(1 for cell in cells if cell.error)
+    n_infeasible = sum(1 for cell in cells if not (cell.feasible or cell.error))
+    print(f"{len(table.cells)} cells ({n_infeasible} infeasible, {n_errors} errors) -> {csv_path}")
+    if args.require_feasible and (n_infeasible or n_errors):
+        print(
+            f"{n_infeasible} swept cells exceed the battery and {n_errors} are invalid",
+            file=sys.stderr,
+        )
         return EXIT_INFEASIBLE
     return EXIT_OK
 

@@ -61,11 +61,14 @@ class SensorField:
 
 @dataclass(frozen=True, eq=False)
 class StopPlan:
-    """Hover stops on the flight path, in travel (ascending arc) order."""
+    """Hover stops on the flight path, in travel (ascending arc) order.
+
+    Geometry only: how long the drone hovers is the mission's dwell_time,
+    so one cached plan serves every dwell of a sweep.
+    """
 
     arc_coords: np.ndarray
     positions: np.ndarray
-    dwell_time: float
 
     def __post_init__(self) -> None:
         k = self.arc_coords.shape[0]
@@ -73,8 +76,6 @@ class StopPlan:
             raise ValueError("inconsistent stop array shapes")
         if k and not np.all(np.diff(self.arc_coords) > 0.0):
             raise ValueError("stop arcs must be strictly increasing")
-        if not self.dwell_time >= 0.0:
-            raise ValueError(f"dwell_time must be >= 0, got {self.dwell_time}")
         self.arc_coords.setflags(write=False)
         self.positions.setflags(write=False)
 
@@ -148,19 +149,13 @@ def _target_arcs(field: SensorField, perimeter: float) -> np.ndarray:
     return np.sort(arcs)
 
 
-def _empty_plan(dwell_time: float) -> StopPlan:
-    return StopPlan(np.empty(0), np.empty((0, 2)), dwell_time)
-
-
-def _plan_at_arcs(path: EllipseSpec, arcs: np.ndarray, dwell_time: float) -> StopPlan:
+def _plan_at_arcs(path: EllipseSpec, arcs: np.ndarray) -> StopPlan:
     positions, _, _ = poses_at_arcs(path, arcs)
-    return StopPlan(arcs, positions, dwell_time)
+    return StopPlan(arcs, positions)
 
 
 @lru_cache(maxsize=256)
-def place_stops_facing(
-    path: EllipseSpec, field: SensorField, n_stops: int, dwell_time: float
-) -> StopPlan:
+def place_stops_facing(path: EllipseSpec, field: SensorField, n_stops: int) -> StopPlan:
     """Stops on the path facing the sensor groups head-on.
 
     With fewer stops than groups, every i-th stop serves group
@@ -172,7 +167,7 @@ def place_stops_facing(
     if n_stops < 0:
         raise ValueError(f"n_stops must be >= 0, got {n_stops}")
     if n_stops == 0:
-        return _empty_plan(dwell_time)
+        return _plan_at_arcs(path, np.empty(0))
     targets = _target_arcs(field, path.perimeter)
     m = targets.shape[0]
     if n_stops <= m:
@@ -188,16 +183,14 @@ def place_stops_facing(
                 j = np.arange(1, extras[i] + 1)
                 parts.append(targets[i] + gaps[i] * j / (extras[i] + 1))
         arcs = np.sort(np.concatenate(parts) % path.perimeter)
-    return _plan_at_arcs(path, arcs, dwell_time)
+    return _plan_at_arcs(path, arcs)
 
 
 @lru_cache(maxsize=256)
-def place_stops_equal_arcs(
-    path: EllipseSpec, n_stops: int, dwell_time: float, phase: float = 0.0
-) -> StopPlan:
+def place_stops_equal_arcs(path: EllipseSpec, n_stops: int, phase: float = 0.0) -> StopPlan:
     """Stops at equal arc spacing around the path, offset by phase meters."""
     if n_stops < 0:
         raise ValueError(f"n_stops must be >= 0, got {n_stops}")
     if n_stops == 0:
-        return _empty_plan(dwell_time)
-    return _plan_at_arcs(path, equidistant_arcs(path, n_stops, phase), dwell_time)
+        return _plan_at_arcs(path, np.empty(0))
+    return _plan_at_arcs(path, equidistant_arcs(path, n_stops, phase))

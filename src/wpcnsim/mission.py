@@ -160,38 +160,49 @@ def _geometry(config: ScenarioConfig):
     """The flight path, sensor field and stop plan that the mission flies.
 
     Each stage runs once its inputs are built and its ValueError becomes one
-    violation. The p2 phase is checked under every placement, because a sweep
-    turns p1 bases into p2 cells.
+    violation, led by the config key it names. The p2 phase is checked under
+    every placement, because a sweep turns p1 bases into p2 cells.
     """
     errors = []
 
-    def attempt(build, *args):
+    def attempt(keys, build, *args):
+        # keys maps the builder's parameter names to the config keys they
+        # come from; a message that leads with none of them names them all
         if any(arg is None for arg in args):
             return None
         try:
             return build(*args)
         except ValueError as err:
-            errors.append(str(err))
+            key = keys.get(str(err).split(" ", 1)[0], ", ".join(keys.values()))
+            errors.append(f"{key}: {err}")
             return None
 
-    path = attempt(_flight_path, config.aspect_ratio, config.path_perimeter)
+    path = attempt(
+        {"aspect_ratio": "aspect_ratio", "target_perimeter": "path_perimeter"},
+        _flight_path,
+        config.aspect_ratio,
+        config.path_perimeter,
+    )
     if config.layout == "s1":
-        field = attempt(place_sensors_even, path, config.n_sensors, config.standoff)
+        field = attempt(
+            {"standoff": "standoff"}, place_sensors_even, path, config.n_sensors, config.standoff
+        )
     else:
         field = attempt(
+            {"pair_spacing": "cluster_spacing", "standoff": "standoff"},
             place_sensors_paired,
             path,
             config.n_sensors,
             config.cluster_spacing,
             config.standoff,
         )
-    phase = attempt(equidistant_arcs, path, 1, config.p2_phase)
+    phase = attempt({"phase": "p2_phase"}, equidistant_arcs, path, 1, config.p2_phase)
     plan = None
     if config.placement == "p1":
-        plan = attempt(place_stops_facing, path, field, config.n_stops, config.dwell_time)
+        plan = attempt({"n_stops": "n_stops"}, place_stops_facing, path, field, config.n_stops)
     elif phase is not None:
         plan = attempt(
-            place_stops_equal_arcs, path, config.n_stops, config.dwell_time, config.p2_phase
+            {"n_stops": "n_stops"}, place_stops_equal_arcs, path, config.n_stops, config.p2_phase
         )
     if errors:
         raise ConfigError(errors)
@@ -204,6 +215,7 @@ def validate_config(config: ScenarioConfig) -> list:
     Once the rules on single values hold (tokens, counts, signs, finite
     numbers), the geometry is built as run_mission builds it, so the path
     limits hold against the realized path; each failing stage adds a message.
+    Last, the packets a mission could count must stay exact in floats.
     """
     errors = [
         f"{key} must be finite, got {value}"
@@ -234,11 +246,28 @@ def validate_config(config: ScenarioConfig) -> list:
         errors.append(f"uav_battery must be >= 0, got {config.uav_battery}")
     if not config.cruise_speed > 0:
         errors.append(f"cruise_speed must be > 0, got {config.cruise_speed}")
+    unit = config.costs.packet_unit
+    if unit <= 0.0:
+        errors.append(f"e_measurement + e_tx_packet must be > 0, got {unit}")
     if not errors:
         try:
             _geometry(config)
         except ConfigError as err:
             errors.extend(err.errors)
+    if not errors:
+        # no sensor is nearer a stop than standoff, so every visit banks at
+        # most the boresight harvest at that range (arrays overflow to inf);
+        # above 2**53 packets, float arithmetic loses whole packets
+        with np.errstate(over="ignore"):
+            power = received_power(config.link, [config.standoff], [0.0])
+        best = float(harvest_rate(config.link, power)[0])
+        charge = config.n_sensors * config.n_stops * config.dwell_time * config.phase_split
+        bound = best * charge / unit
+        if bound >= 2.0**53:
+            errors.append(
+                f"a mission could count up to {bound:.3g} packets of e_measurement + "
+                f"e_tx_packet = {unit} J, beyond the 2**53 that floats count exactly"
+            )
     return errors
 
 
@@ -279,10 +308,11 @@ def simulate_tour(
     """Simulate one tour over an explicit field and stop plan.
 
     Lower-level entry point for handcrafted plans; run_mission is the
-    usual front door. The plan's dwell_time governs hover duration.
+    usual front door. The plan places the stops and config.dwell_time
+    sets how long the drone hovers at each.
     """
     k, n = plan.n_stops, field.n_sensors
-    charge_time = plan.dwell_time * config.phase_split
+    charge_time = config.dwell_time * config.phase_split
     unit = config.costs.packet_unit
     harvested = np.zeros(n)
     spent = np.zeros(n)
@@ -319,7 +349,7 @@ def simulate_tour(
 
     loop_time = config.path_perimeter / config.cruise_speed
     flight_energy = loop_time * config.uav_flight_power
-    hover_energy = (k * plan.dwell_time) * config.uav_flight_power
+    hover_energy = (k * config.dwell_time) * config.uav_flight_power
     if config.wpt_draw_mode == "additional":
         wpt_energy = (k * charge_time) * config.link.tx_power
     else:
@@ -347,5 +377,5 @@ def simulate_tour(
         per_sensor=per_sensor,
         total_packets=total_packets,
         feasible=total <= config.uav_battery,
-        mission_time=loop_time + k * plan.dwell_time,
+        mission_time=loop_time + k * config.dwell_time,
     )

@@ -158,7 +158,7 @@ def test_criterion_8_packet_oracle_over_random_links():
             standoff=standoff,
         )
         field = place_sensors_even(path, 1, standoff)
-        plan = place_stops_facing(path, field, 1, dwell)
+        plan = place_stops_facing(path, field, 1)
         delta = plan.positions[:, None, :] - field.positions[None, :, :]
         dist = np.sqrt(np.einsum("kij,kij->ki", delta, delta))
         cos_inc = np.einsum("kij,ij->ki", delta, field.normals) / dist

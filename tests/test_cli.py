@@ -359,6 +359,16 @@ def test_cli_sweep_case_filter_and_require_feasible(capsys, tmp_path):
     assert any(row.endswith(",false") for row in rows)
 
 
+def test_cli_sweep_reports_error_cells(capsys, tmp_path):
+    args = ["--out", str(tmp_path), "--stops-range", "4:4", "--dwells", "0,20", "--case", "p1s1"]
+    assert main(["sweep", *args]) == 0
+    line = f"2 cells (0 infeasible, 1 errors) -> {tmp_path / 'sweep.csv'}"
+    assert line in capsys.readouterr().out
+    assert json.loads((tmp_path / "summary.json").read_text())["n_errors"] == 1
+    assert main(["sweep", *args, "--require-feasible"]) == 3
+    assert "0 swept cells exceed the battery and 1 are invalid" in capsys.readouterr().err
+
+
 def test_cli_sweep_bad_axis_flags(capsys, tmp_path):
     assert main(["sweep", "--stops-range", "9", "--out", str(tmp_path)]) == 2
     assert main(["sweep", "--dwells", "a,b", "--out", str(tmp_path)]) == 2

@@ -7,6 +7,9 @@ import pytest
 from scipy import integrate
 
 from wpcnsim.geometry import (
+    _arc_from_zero,
+    _arc_table,
+    _params_at_arcs,
     EllipseSpec,
     SurfacePose,
     arc_length,
@@ -136,6 +139,36 @@ def test_point_at_arc_round_trip():
         # the recovered coordinate may wrap at the seam
         err = min(abs(back - s), abs(back - s - PATH.perimeter), abs(back - s + PATH.perimeter))
         assert err <= 1e-9
+
+
+def bisect_params(ellipse, arcs):
+    """Oracle: 60 halvings of [0, 2*pi] on the tabulated arc length."""
+    lo = np.zeros_like(arcs)
+    hi = np.full_like(arcs, 2.0 * math.pi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = _arc_from_zero(ellipse, mid) >= arcs
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("aspect_ratio", [1.0, 1.0 + 1e-7, 5.0, 100.0])
+def test_inversion_matches_bisection(aspect_ratio):
+    ellipse = ellipse_from_perimeter(aspect_ratio, 500.0, 1e-9)
+    knots = _arc_table(ellipse.semi_major, ellipse.semi_minor)[:-1]
+    rng = np.random.default_rng(23)
+    arcs = np.concatenate(
+        [
+            knots,
+            [0.0, np.nextafter(ellipse.perimeter, 0.0)],
+            rng.uniform(0.0, ellipse.perimeter, size=2000),
+        ]
+    )
+    t = _params_at_arcs(ellipse, arcs)
+    assert np.max(np.abs(t - bisect_params(ellipse, arcs))) <= 1e-12
+    back = np.array([arc_length(ellipse, 0.0, float(x)) for x in t])
+    assert np.max(np.abs(back - arcs)) <= 1e-9
 
 
 def test_pose_frame_invariants():

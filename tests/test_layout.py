@@ -66,15 +66,14 @@ def test_standoff_limited_by_curvature():
 
 def test_facing_stops_stride_when_scarce():
     field = place_sensors_even(PATH, 100)
-    plan = place_stops_facing(PATH, field, 4, 20.0)
+    plan = place_stops_facing(PATH, field, 4)
     expected = field.arc_coords[[0, 25, 50, 75]]
     assert np.allclose(plan.arc_coords, expected, rtol=0, atol=1e-9)
-    assert plan.dwell_time == 20.0
 
 
 def test_facing_stops_hover_on_boresight():
     field = place_sensors_even(PATH, 100)
-    plan = place_stops_facing(PATH, field, 100, 20.0)
+    plan = place_stops_facing(PATH, field, 100)
     assert plan.n_stops == 100
     offsets = plan.positions - field.positions
     dist = np.linalg.norm(offsets, axis=1)
@@ -85,14 +84,14 @@ def test_facing_stops_hover_on_boresight():
 
 def test_facing_stops_target_pair_midpoints():
     field = place_sensors_paired(PATH, 100, pair_spacing=0.1)
-    plan = place_stops_facing(PATH, field, 50, 20.0)
+    plan = place_stops_facing(PATH, field, 50)
     expected = np.arange(50) * PATH.perimeter / 50
     assert np.allclose(plan.arc_coords, expected, rtol=0, atol=1e-9)
 
 
 def test_facing_stops_split_gaps_when_plentiful():
     field = place_sensors_even(PATH, 10)
-    plan = place_stops_facing(PATH, field, 15, 20.0)
+    plan = place_stops_facing(PATH, field, 15)
     step = PATH.perimeter / 10
     targets = np.arange(10) * step
     halves = targets[:5] + step / 2
@@ -102,13 +101,13 @@ def test_facing_stops_split_gaps_when_plentiful():
 
 def test_facing_stops_double_coverage():
     field = place_sensors_even(PATH, 10)
-    plan = place_stops_facing(PATH, field, 20, 20.0)
+    plan = place_stops_facing(PATH, field, 20)
     gaps = np.diff(np.append(plan.arc_coords, plan.arc_coords[0] + PATH.perimeter))
     assert np.allclose(gaps, PATH.perimeter / 20, rtol=0, atol=1e-9)
 
 
 def test_equal_arc_stops():
-    plan = place_stops_equal_arcs(PATH, 80, 20.0)
+    plan = place_stops_equal_arcs(PATH, 80)
     assert plan.n_stops == 80
     gaps = np.diff(plan.arc_coords)
     assert np.allclose(gaps, PATH.perimeter / 80, rtol=0, atol=1e-9)
@@ -116,16 +115,16 @@ def test_equal_arc_stops():
 
 
 def test_equal_arc_stops_phase_shift():
-    base = place_stops_equal_arcs(PATH, 80, 20.0)
-    moved = place_stops_equal_arcs(PATH, 80, 20.0, phase=2.5)
+    base = place_stops_equal_arcs(PATH, 80)
+    moved = place_stops_equal_arcs(PATH, 80, phase=2.5)
     assert np.allclose(moved.arc_coords, base.arc_coords + 2.5, rtol=0, atol=1e-9)
 
 
 def test_zero_stop_plans_are_empty():
     field = place_sensors_even(PATH, 10)
     for plan in (
-        place_stops_facing(PATH, field, 0, 20.0),
-        place_stops_equal_arcs(PATH, 0, 20.0),
+        place_stops_facing(PATH, field, 0),
+        place_stops_equal_arcs(PATH, 0),
     ):
         assert plan.n_stops == 0
         assert plan.positions.shape == (0, 2)
@@ -133,22 +132,18 @@ def test_zero_stop_plans_are_empty():
 
 def test_stop_plan_rejects_unsorted_arcs():
     with pytest.raises(ValueError):
-        StopPlan(np.array([5.0, 1.0]), np.zeros((2, 2)), 20.0)
-    with pytest.raises(ValueError):
-        StopPlan(np.array([1.0]), np.zeros((1, 2)), -1.0)
+        StopPlan(np.array([5.0, 1.0]), np.zeros((2, 2)))
 
 
 def test_negative_stop_count_rejected():
     field = place_sensors_even(PATH, 10)
     with pytest.raises(ValueError):
-        place_stops_facing(PATH, field, -1, 20.0)
+        place_stops_facing(PATH, field, -1)
     with pytest.raises(ValueError):
-        place_stops_equal_arcs(PATH, -1, 20.0)
+        place_stops_equal_arcs(PATH, -1)
 
 
 def test_layouts_are_cached():
     assert place_sensors_even(PATH, 100) is place_sensors_even(PATH, 100)
     field = place_sensors_paired(PATH, 100)
-    assert place_stops_facing(PATH, field, 50, 20.0) is place_stops_facing(
-        PATH, field, 50, 20.0
-    )
+    assert place_stops_facing(PATH, field, 50) is place_stops_facing(PATH, field, 50)

@@ -7,7 +7,7 @@ import pytest
 
 from wpcnsim import received_power
 from wpcnsim.geometry import ellipse_from_perimeter, poses_at_arcs
-from wpcnsim.layout import StopPlan, place_sensors_even
+from wpcnsim.layout import StopPlan, place_sensors_even, place_stops_facing
 from wpcnsim.mission import (
     ConfigError,
     ScenarioConfig,
@@ -113,7 +113,7 @@ def test_carry_over_between_visits():
     field = place_sensors_even(path, 1)
     arcs = np.array([1.0, path.perimeter - 1.0])
     positions, _, _ = poses_at_arcs(path, arcs)
-    plan = StopPlan(arcs, positions, 20.0)
+    plan = StopPlan(arcs, positions)
 
     offset = positions[0] - field.positions[0]
     dist = float(np.linalg.norm(offset))
@@ -130,6 +130,26 @@ def test_carry_over_between_visits():
     assert [rec.packets for rec in ledger.per_stop] == [1, 2]
     assert ledger.total_packets == 3
     assert ledger.per_sensor[0].residual == pytest.approx(0.002, abs=1e-9)
+
+
+def test_one_plan_hovers_for_each_config_dwell():
+    path = ellipse_from_perimeter(5.0, 500.0)
+    field = place_sensors_even(path, 100)
+    plan = place_stops_facing(path, field, 80)
+    for dwell in (20.0, 70.0):
+        config = dataclasses.replace(DEFAULTS, n_stops=80, dwell_time=dwell)
+        ledger = simulate_tour(config, path, field, plan)
+        assert ledger.hover_energy == (80 * dwell) * DEFAULTS.uav_flight_power
+        assert ledger.mission_time == 80.0 + 80 * dwell
+        assert ledger == run_mission(config)
+
+
+def test_non_positive_dwell_is_a_config_error():
+    for dwell in (-1.0, 0.0):
+        config = dataclasses.replace(DEFAULTS, dwell_time=dwell)
+        assert validate_config(config) == [f"dwell_time must be > 0, got {dwell}"]
+        with pytest.raises(ConfigError):
+            run_mission(config)
 
 
 def test_reruns_are_bit_identical():

@@ -27,8 +27,9 @@ def _override(config, **values):
     return dataclasses.replace(config, **nested, **values)
 
 
-# each passed the old rules, which used the nominal perimeter and let NaN
-# through, and then crashed the mission with a bare exception
+# each passed the old rules, which used the nominal perimeter, let NaN
+# through and bounded no packet count, and then crashed the mission with a
+# bare exception
 CRASH_CONFIGS = {
     "aspect-ratio-inf": {"aspect_ratio": math.inf},
     "p2-phase-at-realized-perimeter": {"placement": "p2", "p2_phase": 499.9999999999},
@@ -39,6 +40,9 @@ CRASH_CONFIGS = {
         "n_sensors": 2,
         "cluster_spacing": 499.99999999,
     },
+    "zero-packet-cost": {"e_measurement": 0.0, "e_tx_packet": 0.0},
+    "tiny-packet-cost": {"e_measurement": 1e-300, "e_tx_packet": 0.0},
+    "tiny-standoff": {"standoff": 1e-300},
 }
 
 
@@ -76,6 +80,37 @@ def test_independent_geometry_violations_are_all_reported():
     assert any("phase" in e for e in errors)
 
 
+def test_geometry_violations_lead_with_the_config_key():
+    p2 = dataclasses.replace(DEFAULTS, placement="p2", p2_phase=499.9999999999)
+    assert validate_config(p2) == [
+        "p2_phase: phase 499.9999999999 outside [0, 499.99999998544746)"
+    ]
+    paired = dataclasses.replace(DEFAULTS, layout="s2", n_sensors=2, cluster_spacing=499.99999999)
+    assert validate_config(paired) == [
+        "cluster_spacing: pair_spacing 499.99999999 does not fit 1 pairs"
+    ]
+    assert validate_config(dataclasses.replace(DEFAULTS, standoff=5.0)) == [
+        "standoff: standoff must lie in (0, 4.75963) for this path, got 5.0"
+    ]
+    assert validate_config(dataclasses.replace(DEFAULTS, path_perimeter=-1.0)) == [
+        "path_perimeter: target_perimeter must be positive, got -1.0"
+    ]
+
+
+def test_packet_cost_rules():
+    zero = _override(DEFAULTS, e_measurement=0.0, e_tx_packet=0.0)
+    assert validate_config(zero) == ["e_measurement + e_tx_packet must be > 0, got 0.0"]
+    # one free half of the packet unit is fine, and so is a free receive
+    assert validate_config(_override(DEFAULTS, e_measurement=0.0, e_rx_packet=0.0)) == []
+    tiny = _override(DEFAULTS, e_measurement=1e-300, e_tx_packet=0.0)
+    (message,) = validate_config(tiny)
+    assert "2**53" in message
+    # 100 sensors x 100 stops x 0.1 J per boresight visit is 1e15 units of 1e-12 J
+    small = _override(DEFAULTS, e_measurement=1e-12, e_tx_packet=0.0)
+    assert validate_config(small) == []
+    assert run_mission(small).total_packets > 0
+
+
 # --- property: acceptance and execution agree near every bound ---
 
 _realized = functools.lru_cache(maxsize=None)(ellipse_from_perimeter)
@@ -84,6 +119,8 @@ _realized = functools.lru_cache(maxsize=None)(ellipse_from_perimeter)
 # factors that land on, just inside and just outside a limit
 _SEAM = st.sampled_from([1.0 - 1e-9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-9])
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# free, subnormal, tiny and ordinary energy prices in joules
+_COST = st.sampled_from([0.01, 0.0, 5e-324, 1e-300, 1e-15, 1e-12, 0.2])
 _TOP_FLOATS = [
     f.name
     for f in dataclasses.fields(ScenarioConfig)
@@ -125,8 +162,11 @@ def configs(draw):
         ),
         p2_phase=draw(_near(path.perimeter, st.floats(0.0, 0.99 * perimeter), perimeter)),
     )
+    config = _override(
+        config, e_measurement=draw(_COST), e_tx_packet=draw(_COST), e_rx_packet=draw(_COST)
+    )
     if draw(st.integers(0, 3)) == 0:
-        key = draw(st.sampled_from(_TOP_FLOATS + ["e_rx_packet", "tx_power"]))
+        key = draw(st.sampled_from(_TOP_FLOATS + ["e_measurement", "e_rx_packet", "tx_power"]))
         try:
             config = _override(config, **{key: draw(_NON_FINITE)})
         except ValueError:
