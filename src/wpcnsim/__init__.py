@@ -3,120 +3,21 @@ of battery-free hull sensors along an elliptical inspection path."""
 
 __version__ = "0.1.0"
 
-from wpcnsim.geometry import (
-    EllipseSpec,
-    SurfacePose,
-    arc_length,
-    ellipse_from_perimeter,
-    equidistant_arcs,
-    link_geometry,
-    offset_outward,
-    point_at_arc,
-    poses_at_arcs,
-)
-from wpcnsim.layout import (
-    SensorField,
-    StopPlan,
-    place_sensors_even,
-    place_sensors_paired,
-    place_stops_equal_arcs,
-    place_stops_facing,
-)
-from wpcnsim.mission import (
-    ConfigError,
-    MissionLedger,
-    ScenarioConfig,
-    SensorRecord,
-    StopRecord,
-    endurance,
-    max_stops,
-    run_mission,
-    simulate_tour,
-    validate_config,
-)
-from wpcnsim.rf_link import (
-    SPEED_OF_LIGHT,
-    EnergyCosts,
-    LinkParams,
-    fspl_db,
-    harvest_rate,
-    max_boresight_harvest_range,
-    packets_supported,
-    received_power,
-    wavelength,
-)
-from wpcnsim.sweep import (
-    SweepCell,
-    SweepTable,
-    calibrate_speed,
-    calibrate_tx_power,
-    clustering_gain,
-    clustering_gain_cells,
-    default_sweep,
-    efficiency,
-    efficiency_curve,
-    equal_coverage_gain,
-    find_peak,
-    p1_gain_cells,
-    p1_gain_over_p2,
-    sweep,
-)
-from wpcnsim.config_io import (
-    CONFIG_KEYS,
-    parse_config,
-    parse_config_text,
-    render_config,
-)
+from wpcnsim import geometry, layout, mission, rf_link
+from wpcnsim.config_io import CONFIG_KEYS, parse_config, parse_config_text, render_config
+from wpcnsim.geometry import *
+from wpcnsim.layout import *
+from wpcnsim.mission import *
+from wpcnsim.rf_link import *
+from wpcnsim.sweep import *
+from wpcnsim.sweep import __all__ as _sweep_all
 
 __all__ = [
-    "EllipseSpec",
-    "SurfacePose",
-    "arc_length",
-    "ellipse_from_perimeter",
-    "equidistant_arcs",
-    "link_geometry",
-    "offset_outward",
-    "point_at_arc",
-    "poses_at_arcs",
-    "SensorField",
-    "StopPlan",
-    "place_sensors_even",
-    "place_sensors_paired",
-    "place_stops_equal_arcs",
-    "place_stops_facing",
-    "ConfigError",
-    "MissionLedger",
-    "ScenarioConfig",
-    "SensorRecord",
-    "StopRecord",
-    "endurance",
-    "max_stops",
-    "run_mission",
-    "simulate_tour",
-    "validate_config",
-    "SPEED_OF_LIGHT",
-    "EnergyCosts",
-    "LinkParams",
-    "fspl_db",
-    "harvest_rate",
-    "max_boresight_harvest_range",
-    "packets_supported",
-    "received_power",
-    "wavelength",
-    "SweepCell",
-    "SweepTable",
-    "calibrate_speed",
-    "calibrate_tx_power",
-    "clustering_gain",
-    "clustering_gain_cells",
-    "default_sweep",
-    "efficiency",
-    "efficiency_curve",
-    "equal_coverage_gain",
-    "find_peak",
-    "p1_gain_cells",
-    "p1_gain_over_p2",
-    "sweep",
+    *geometry.__all__,
+    *layout.__all__,
+    *mission.__all__,
+    *rf_link.__all__,
+    *_sweep_all,
     "CONFIG_KEYS",
     "parse_config",
     "parse_config_text",

@@ -226,33 +226,30 @@ def write_sweep_csv(table: SweepTable, out_dir) -> Path:
     return path
 
 
+def _ratio_stats(cell_ratios: dict) -> dict:
+    ratios = list(cell_ratios.values())
+    return {
+        "mean": sum(ratios) / len(ratios),
+        "min": min(ratios),
+        "max": max(ratios),
+        "n_pairs": len(ratios),
+    }
+
+
 def write_sweep_summary(table: SweepTable, out_dir) -> Path:
     """Axis echo, cell counts, and whichever gain metrics are computable."""
     cells = table.cells.values()
     metrics = {}
     paired = clustering_gain_cells(table)
     if paired:
-        ratios = list(paired.values())
-        metrics["clustering_gain"] = {
-            "basis": "p1",
-            "mean": sum(ratios) / len(ratios),
-            "min": min(ratios),
-            "max": max(ratios),
-            "n_pairs": len(ratios),
-        }
+        metrics["clustering_gain"] = {"basis": "p1", **_ratio_stats(paired)}
     try:
         metrics["equal_coverage_gain"] = equal_coverage_gain(table)
     except ValueError:
         pass
     facing = p1_gain_cells(table)
     if facing:
-        ratios = list(facing.values())
-        metrics["placement_gain"] = {
-            "mean": sum(ratios) / len(ratios),
-            "min": min(ratios),
-            "max": max(ratios),
-            "n_pairs": len(ratios),
-        }
+        metrics["placement_gain"] = _ratio_stats(facing)
     peaks = {}
     for placement, layout in table.cases:
         for dwell in table.dwells:

@@ -14,17 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "EllipseSpec",
-    "SurfacePose",
-    "ellipse_from_perimeter",
-    "arc_length",
-    "point_at_arc",
-    "poses_at_arcs",
-    "equidistant_arcs",
-    "offset_outward",
-    "link_geometry",
-]
+__all__ = ["EllipseSpec", "ellipse_from_perimeter", "poses_at_arcs", "equidistant_arcs"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -33,6 +23,9 @@ _TWO_PI = 2.0 * math.pi
 # any valid aspect ratio, so arc inversions never re-integrate from zero.
 _PANELS = 2048
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# relative tolerance of a sized perimeter; the realized default path
+# (499.99999998544746 m for 500 m) depends on it
+_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,31 +56,15 @@ class EllipseSpec:
         total = float(_arc_table(float(semi_major), float(semi_minor))[-1])
         return cls(float(semi_major), float(semi_minor), total)
 
-    @property
-    def aspect_ratio(self) -> float:
-        return self.semi_major / self.semi_minor
-
-
-@dataclass(frozen=True, eq=False)
-class SurfacePose:
-    """Point on (or offset from) a curve with its local frame.
-
-    tangent and outward_normal are unit vectors; arc_coord is the arc
-    coordinate of the generating path point in [0, perimeter).
-    """
-
-    position: np.ndarray
-    tangent: np.ndarray
-    outward_normal: np.ndarray
-    arc_coord: float
-
 
 def _speed(a: float, b: float, t: np.ndarray) -> np.ndarray:
     # |d/dt (a cos t, b sin t)|
     return np.sqrt((a * np.sin(t)) ** 2 + (b * np.cos(t)) ** 2)
 
 
-@functools.lru_cache(maxsize=None)
+# two tables per sized path (its unit shape and itself): the bound keeps a
+# process that sizes many distinct paths from holding 33 KB for each
+@functools.lru_cache(maxsize=64)
 def _arc_table(a: float, b: float) -> np.ndarray:
     """Cumulative arc length at the _PANELS + 1 parameter knots."""
     edges = np.linspace(0.0, _TWO_PI, _PANELS + 1)
@@ -115,55 +92,45 @@ def _arc_from_zero(ellipse: EllipseSpec, t: np.ndarray) -> np.ndarray:
     return cum[idx] + partial
 
 
-def ellipse_from_perimeter(
-    aspect_ratio: float, target_perimeter: float, rel_tol: float = 1e-9
-) -> EllipseSpec:
+def ellipse_from_perimeter(aspect_ratio: float, target_perimeter: float) -> EllipseSpec:
     """Size an ellipse of the given aspect ratio to a target perimeter.
 
     Bisection runs on a scale factor applied to the unit-minor-axis shape;
     the perimeter is homogeneous in scale, so every step is arithmetic.
+    It stops at the tolerance or once the midpoint no longer moves, so it
+    ends for every finite target; a target whose axes under- or overflow
+    in the arc integral raises ValueError.
 
     Args:
         aspect_ratio: semi_major / semi_minor, must be >= 1.
         target_perimeter: required perimeter in meters, > 0.
-        rel_tol: relative perimeter tolerance, in (0, 1e-3).
     """
     if aspect_ratio < 1.0:
         raise ValueError(f"aspect_ratio must be >= 1, got {aspect_ratio}")
     if not target_perimeter > 0.0:
         raise ValueError(f"target_perimeter must be positive, got {target_perimeter}")
-    if not 0.0 < rel_tol < 1e-3:
-        raise ValueError(f"rel_tol must be in (0, 1e-3), got {rel_tol}")
 
-    unit = float(_arc_table(float(aspect_ratio), 1.0)[-1])
-    lo = 0.5 * target_perimeter / unit
-    hi = 2.0 * target_perimeter / unit
-    while (hi - lo) * unit > 0.25 * rel_tol * target_perimeter:
-        mid = 0.5 * (lo + hi)
-        if mid * unit < target_perimeter:
-            lo = mid
-        else:
-            hi = mid
-    scale = 0.5 * (lo + hi)
-    spec = EllipseSpec.from_axes(scale * aspect_ratio, scale)
-    if abs(spec.perimeter - target_perimeter) > rel_tol * target_perimeter:
-        raise ValueError("perimeter bisection failed to reach tolerance")
-    return spec
-
-
-def arc_length(ellipse: EllipseSpec, t0: float, t1: float) -> float:
-    """Arc length of the ellipse between parameters t0 <= t1 (radians)."""
-    if t1 < t0:
-        raise ValueError(f"need t0 <= t1, got ({t0}, {t1})")
-    turns0 = math.floor(t0 / _TWO_PI)
-    r0 = t0 - turns0 * _TWO_PI
-    r1 = t1 - turns0 * _TWO_PI
-    extra = math.floor(r1 / _TWO_PI) if r1 >= _TWO_PI else 0
-    r1 -= extra * _TWO_PI
-    s = extra * ellipse.perimeter + float(
-        _arc_from_zero(ellipse, r1) - _arc_from_zero(ellipse, r0)
-    )
-    return max(s, 0.0)
+    with np.errstate(over="ignore"):
+        unit = float(_arc_table(float(aspect_ratio), 1.0)[-1])
+        lo = 0.5 * (target_perimeter / unit)
+        hi = 2.0 * (target_perimeter / unit)
+        while (hi - lo) * unit > 0.25 * _REL_TOL * target_perimeter:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if mid * unit < target_perimeter:
+                lo = mid
+            else:
+                hi = mid
+        scale = 0.5 * (lo + hi)
+        a, b = float(scale * aspect_ratio), float(scale)
+        perimeter = float(_arc_table(a, b)[-1])
+    if not abs(perimeter - target_perimeter) <= _REL_TOL * target_perimeter:
+        raise ValueError(
+            f"target_perimeter {target_perimeter} cannot be sized at aspect ratio "
+            f"{aspect_ratio}: the path integrates to {perimeter}"
+        )
+    return EllipseSpec(a, b, perimeter)
 
 
 def _params_at_arcs(ellipse: EllipseSpec, arcs: np.ndarray) -> np.ndarray:
@@ -189,8 +156,8 @@ def poses_at_arcs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions, tangents, and outward normals at the given arc coordinates.
 
-    Returns three (n, 2) arrays. Bulk form of point_at_arc used by layout
-    construction; arcs must already lie in [0, perimeter).
+    Returns three (n, 2) arrays, one row per arc; arcs must already lie in
+    [0, perimeter).
     """
     a, b = ellipse.semi_major, ellipse.semi_minor
     t = _params_at_arcs(ellipse, np.asarray(arcs, dtype=float))
@@ -201,16 +168,6 @@ def poses_at_arcs(
     normals = np.stack([b * ct, a * st], axis=-1)
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
     return positions, tangents, normals
-
-
-def point_at_arc(ellipse: EllipseSpec, s: float) -> SurfacePose:
-    """Pose on the ellipse at arc coordinate s in [0, perimeter)."""
-    if not 0.0 <= s < ellipse.perimeter:
-        raise ValueError(
-            f"arc coordinate {s} outside [0, {ellipse.perimeter})"
-        )
-    positions, tangents, normals = poses_at_arcs(ellipse, np.array([s]))
-    return SurfacePose(positions[0], tangents[0], normals[0], float(s))
 
 
 def equidistant_arcs(ellipse: EllipseSpec, k: int, phase: float = 0.0) -> np.ndarray:
@@ -224,22 +181,3 @@ def equidistant_arcs(ellipse: EllipseSpec, k: int, phase: float = 0.0) -> np.nda
     arcs[arcs >= p] -= p  # mod can return the modulus exactly
     return np.sort(arcs)
 
-
-def offset_outward(pose: SurfacePose, dist: float) -> np.ndarray:
-    """Point at signed distance along the pose's outward normal."""
-    return pose.position + dist * pose.outward_normal
-
-
-def link_geometry(sensor_pose: SurfacePose, uav_point: np.ndarray) -> tuple[float, float]:
-    """Distance and incidence angle from a sensor pose to a hover point.
-
-    Incidence is measured from the sensor's outward normal, in [0, pi].
-    Raises ValueError if the two points coincide.
-    """
-    diff = np.asarray(uav_point, dtype=float) - sensor_pose.position
-    dist = float(np.hypot(diff[0], diff[1]))
-    if dist == 0.0:
-        raise ValueError("sensor and hover point are co-located")
-    cos_inc = float(np.dot(sensor_pose.outward_normal, diff)) / dist
-    incidence = math.acos(min(1.0, max(-1.0, cos_inc)))
-    return dist, incidence

@@ -4,17 +4,17 @@ Run with `pytest -s tests/test_acceptance.py` to see every verdict line;
 without -s the lines surface only for failing criteria.
 """
 
-import math
 import time
 from dataclasses import replace
 
 import numpy as np
 
+from reference import reference_tour
 from wpcnsim.config_io import write_sweep_csv
 from wpcnsim.geometry import ellipse_from_perimeter
 from wpcnsim.layout import place_sensors_even, place_stops_facing
 from wpcnsim.mission import ScenarioConfig, endurance, max_stops, run_mission
-from wpcnsim.rf_link import LinkParams, harvest_rate, received_power
+from wpcnsim.rf_link import LinkParams
 from wpcnsim.sweep import (
     calibrate_tx_power,
     clustering_gain,
@@ -134,7 +134,6 @@ def test_criterion_7_interior_efficiency_peak(default_table):
 def test_criterion_8_packet_oracle_over_random_links():
     rng = np.random.default_rng(2024)
     path = ellipse_from_perimeter(DEFAULTS.aspect_ratio, DEFAULTS.path_perimeter)
-    unit = DEFAULTS.costs.packet_unit
     mismatches = 0
     for _ in range(1000):
         link = LinkParams(
@@ -159,22 +158,15 @@ def test_criterion_8_packet_oracle_over_random_links():
         )
         field = place_sensors_even(path, 1, standoff)
         plan = place_stops_facing(path, field, 1)
-        delta = plan.positions[:, None, :] - field.positions[None, :, :]
-        dist = np.sqrt(np.einsum("kij,kij->ki", delta, delta))
-        cos_inc = np.einsum("kij,ij->ki", delta, field.normals) / dist
-        incidence = np.arccos(np.clip(cos_inc, -1.0, 1.0))
-        rate = harvest_rate(link, received_power(link, dist, incidence))
-        charge_time = dwell * split
-        banked = float((rate[0] * charge_time)[0])
-        expected = math.floor(banked / unit)
+        ((_, expected),), _ = reference_tour(config, field, plan)
         if run_mission(config).total_packets != expected:
             mismatches += 1
     ok = mismatches == 0
     _verdict(
         8,
         ok,
-        f"{1000 - mismatches}/1000 random links match the closed-form "
-        "packet count (want 1000/1000)",
+        f"{1000 - mismatches}/1000 random links match the scalar reference "
+        "tour's packet count (want 1000/1000)",
     )
 
 

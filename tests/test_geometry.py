@@ -11,17 +11,12 @@ from wpcnsim.geometry import (
     _arc_table,
     _params_at_arcs,
     EllipseSpec,
-    SurfacePose,
-    arc_length,
     ellipse_from_perimeter,
     equidistant_arcs,
-    link_geometry,
-    offset_outward,
-    point_at_arc,
     poses_at_arcs,
 )
 
-PATH = ellipse_from_perimeter(5.0, 500.0, 1e-9)
+PATH = ellipse_from_perimeter(5.0, 500.0)
 CIRCLE = EllipseSpec.from_axes(10.0, 10.0)
 
 
@@ -40,18 +35,23 @@ def quad_arc(ellipse, t0, t1):
     return val
 
 
+def arc_between(ellipse, t0, t1):
+    """Arc length between parameters 0 <= t0 <= t1 <= 2*pi."""
+    return float(_arc_from_zero(ellipse, t1) - _arc_from_zero(ellipse, t0))
+
+
 # ---------------------------------------------------------------- sizing
 
 
 def test_from_perimeter_hits_target_and_aspect():
     assert abs(PATH.perimeter - 500.0) <= 1e-9 * 500.0
-    assert PATH.aspect_ratio == pytest.approx(5.0, abs=1e-12)
+    assert PATH.semi_major / PATH.semi_minor == pytest.approx(5.0, abs=1e-12)
     # re-integrated arc length against the quadrature oracle
     assert abs(quad_arc(PATH, 0.0, 2.0 * math.pi) - 500.0) <= 5e-7
 
 
 def test_from_perimeter_aspect_one_is_a_circle():
-    disc = ellipse_from_perimeter(1.0, 500.0, 1e-9)
+    disc = ellipse_from_perimeter(1.0, 500.0)
     assert disc.semi_major == disc.semi_minor
     assert disc.perimeter == pytest.approx(500.0, rel=1e-9)
     assert disc.semi_major == pytest.approx(500.0 / (2.0 * math.pi), rel=1e-9)
@@ -59,20 +59,26 @@ def test_from_perimeter_aspect_one_is_a_circle():
 
 def test_from_perimeter_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        ellipse_from_perimeter(0.5, 500.0, 1e-9)
+        ellipse_from_perimeter(0.5, 500.0)
     with pytest.raises(ValueError):
-        ellipse_from_perimeter(5.0, -1.0, 1e-9)
-    with pytest.raises(ValueError):
-        ellipse_from_perimeter(5.0, 500.0, 1e-2)
+        ellipse_from_perimeter(5.0, -1.0)
     with pytest.raises(ValueError):
         EllipseSpec.from_axes(1.0, 2.0)
+
+
+def test_arc_table_cache_is_bounded():
+    bound = _arc_table.cache_info().maxsize
+    assert bound == 64
+    for i in range(bound):
+        ellipse_from_perimeter(2.0 + i / bound, 321.0)
+    assert _arc_table.cache_info().currsize == bound
 
 
 # ------------------------------------------------------------ arc length
 
 
 def test_arc_length_full_circle_closed_form():
-    assert arc_length(CIRCLE, 0.0, 2.0 * math.pi) == pytest.approx(
+    assert arc_between(CIRCLE, 0.0, 2.0 * math.pi) == pytest.approx(
         20.0 * math.pi, rel=1e-12
     )
 
@@ -81,7 +87,7 @@ def test_arc_length_circle_matches_r_dt():
     rng = np.random.default_rng(7)
     for _ in range(50):
         t0, t1 = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=2))
-        assert arc_length(CIRCLE, t0, t1) == pytest.approx(
+        assert arc_between(CIRCLE, t0, t1) == pytest.approx(
             10.0 * (t1 - t0), rel=1e-12, abs=1e-12
         )
 
@@ -90,39 +96,33 @@ def test_arc_length_matches_quadrature_oracle():
     rng = np.random.default_rng(11)
     for _ in range(25):
         t0, t1 = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=2))
-        got = arc_length(PATH, t0, t1)
+        got = arc_between(PATH, t0, t1)
         want = quad_arc(PATH, t0, t1)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def test_arc_length_additivity():
+    # a split just below a panel knot sums the partial-panel quadrature up
+    # to the knot, which must equal the tabulated arc at the knot
     rng = np.random.default_rng(13)
+    h = 2.0 * math.pi / 2048
     for _ in range(50):
-        t0, t1, t2 = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=3))
-        whole = arc_length(PATH, t0, t2)
-        split = arc_length(PATH, t0, t1) + arc_length(PATH, t1, t2)
+        knot = h * int(rng.integers(1, 2048))
+        t0 = float(rng.uniform(0.0, knot))
+        t2 = float(rng.uniform(knot, 2.0 * math.pi))
+        whole = arc_between(PATH, t0, t2)
+        split = arc_between(PATH, t0, np.nextafter(knot, 0.0)) + arc_between(PATH, knot, t2)
         assert abs(split - whole) <= 1e-9 * max(whole, 1.0)
-
-
-def test_arc_length_spans_multiple_turns():
-    one = arc_length(PATH, 0.0, 2.0 * math.pi)
-    three = arc_length(PATH, 0.0, 6.0 * math.pi)
-    assert three == pytest.approx(3.0 * one, rel=1e-12)
-
-
-def test_arc_length_rejects_reversed_interval():
-    with pytest.raises(ValueError):
-        arc_length(PATH, 1.0, 0.5)
 
 
 # ---------------------------------------------------------- arc inversion
 
 
 def test_point_at_arc_circle_closed_form():
-    pose = point_at_arc(CIRCLE, 10.0 * math.pi / 2.0)
-    assert pose.position == pytest.approx([0.0, 10.0], abs=1e-9)
-    assert pose.outward_normal == pytest.approx([0.0, 1.0], abs=1e-9)
-    assert pose.tangent == pytest.approx([-1.0, 0.0], abs=1e-9)
+    positions, tangents, normals = poses_at_arcs(CIRCLE, np.array([10.0 * math.pi / 2.0]))
+    assert positions[0] == pytest.approx([0.0, 10.0], abs=1e-9)
+    assert normals[0] == pytest.approx([0.0, 1.0], abs=1e-9)
+    assert tangents[0] == pytest.approx([-1.0, 0.0], abs=1e-9)
 
 
 def test_point_at_arc_round_trip():
@@ -130,12 +130,10 @@ def test_point_at_arc_round_trip():
     arcs = np.concatenate(
         [[0.0, 1e-6, 499.999999], rng.uniform(0.0, PATH.perimeter, size=40)]
     )
-    for s in arcs:
-        pose = point_at_arc(PATH, float(s))
-        t = math.atan2(
-            pose.position[1] / PATH.semi_minor, pose.position[0] / PATH.semi_major
-        ) % (2.0 * math.pi)
-        back = arc_length(PATH, 0.0, t)
+    positions, _, _ = poses_at_arcs(PATH, arcs)
+    for s, (x, y) in zip(arcs, positions):
+        t = math.atan2(y / PATH.semi_minor, x / PATH.semi_major) % (2.0 * math.pi)
+        back = float(_arc_from_zero(PATH, t))
         # the recovered coordinate may wrap at the seam
         err = min(abs(back - s), abs(back - s - PATH.perimeter), abs(back - s + PATH.perimeter))
         assert err <= 1e-9
@@ -155,7 +153,7 @@ def bisect_params(ellipse, arcs):
 
 @pytest.mark.parametrize("aspect_ratio", [1.0, 1.0 + 1e-7, 5.0, 100.0])
 def test_inversion_matches_bisection(aspect_ratio):
-    ellipse = ellipse_from_perimeter(aspect_ratio, 500.0, 1e-9)
+    ellipse = ellipse_from_perimeter(aspect_ratio, 500.0)
     knots = _arc_table(ellipse.semi_major, ellipse.semi_minor)[:-1]
     rng = np.random.default_rng(23)
     arcs = np.concatenate(
@@ -167,7 +165,7 @@ def test_inversion_matches_bisection(aspect_ratio):
     )
     t = _params_at_arcs(ellipse, arcs)
     assert np.max(np.abs(t - bisect_params(ellipse, arcs))) <= 1e-12
-    back = np.array([arc_length(ellipse, 0.0, float(x)) for x in t])
+    back = _arc_from_zero(ellipse, t)
     assert np.max(np.abs(back - arcs)) <= 1e-9
 
 
@@ -180,13 +178,6 @@ def test_pose_frame_invariants():
     assert np.max(np.abs(np.sum(tangents * normals, axis=1))) <= 1e-12
     # outward means pointing away from the center
     assert np.all(np.sum(positions * normals, axis=1) > 0.0)
-
-
-def test_point_at_arc_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        point_at_arc(PATH, -1e-9)
-    with pytest.raises(ValueError):
-        point_at_arc(PATH, PATH.perimeter)
 
 
 # ------------------------------------------------------------- placement
@@ -203,7 +194,7 @@ def test_equidistant_arcs_uniform_spacing_up_to_200():
 
 
 def test_equidistant_arcs_phase_examples():
-    disc = ellipse_from_perimeter(1.0, 500.0, 1e-9)
+    disc = ellipse_from_perimeter(1.0, 500.0)
     assert equidistant_arcs(disc, 1, 7.0) == pytest.approx([7.0])
     unit = EllipseSpec.from_axes(1.0, 1.0)
     assert equidistant_arcs(unit, 4) == pytest.approx(
@@ -223,32 +214,3 @@ def test_equidistant_arcs_rejects_bad_arguments():
     with pytest.raises(ValueError):
         equidistant_arcs(PATH, 4, PATH.perimeter)
 
-
-# ---------------------------------------------------------- link geometry
-
-
-def test_offset_outward_circle_example():
-    point = offset_outward(point_at_arc(CIRCLE, 0.0), 1.0)
-    assert point == pytest.approx([11.0, 0.0], abs=1e-9)
-
-
-def test_offset_outward_negative_goes_inside():
-    point = offset_outward(point_at_arc(CIRCLE, 0.0), -1.0)
-    assert point == pytest.approx([9.0, 0.0], abs=1e-9)
-
-
-def test_link_geometry_344_triangle():
-    sensor = SurfacePose(
-        np.array([0.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0]), 0.0
-    )
-    dist, incidence = link_geometry(sensor, np.array([3.0, 4.0]))
-    assert dist == pytest.approx(5.0, abs=1e-12)
-    assert incidence == pytest.approx(math.atan2(4.0, 3.0), abs=1e-12)
-
-
-def test_link_geometry_rejects_co_located_points():
-    sensor = SurfacePose(
-        np.array([1.0, 2.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0]), 0.0
-    )
-    with pytest.raises(ValueError):
-        link_geometry(sensor, np.array([1.0, 2.0]))

@@ -1,0 +1,70 @@
+"""The package namespace: each public name is stated once, in its module."""
+
+import wpcnsim
+
+PUBLIC_NAMES = {
+    "__version__",
+    # geometry
+    "EllipseSpec",
+    "ellipse_from_perimeter",
+    "equidistant_arcs",
+    "poses_at_arcs",
+    # layout
+    "SensorField",
+    "StopPlan",
+    "place_sensors_even",
+    "place_sensors_paired",
+    "place_stops_equal_arcs",
+    "place_stops_facing",
+    # mission
+    "ConfigError",
+    "MissionLedger",
+    "ScenarioConfig",
+    "SensorRecord",
+    "StopRecord",
+    "endurance",
+    "max_stops",
+    "run_mission",
+    "simulate_tour",
+    "validate_config",
+    # rf_link
+    "SPEED_OF_LIGHT",
+    "EnergyCosts",
+    "LinkParams",
+    "fspl_db",
+    "harvest_rate",
+    "max_boresight_harvest_range",
+    "packets_supported",
+    "received_power",
+    "wavelength",
+    # sweep
+    "DEFAULT_CASES",
+    "DEFAULT_DWELLS",
+    "DEFAULT_STOP_COUNTS",
+    "SweepCell",
+    "SweepTable",
+    "calibrate_speed",
+    "calibrate_tx_power",
+    "clustering_gain",
+    "clustering_gain_cells",
+    "default_sweep",
+    "efficiency",
+    "efficiency_curve",
+    "equal_coverage_gain",
+    "find_peak",
+    "p1_gain_cells",
+    "p1_gain_over_p2",
+    "sweep",
+    # config_io
+    "CONFIG_KEYS",
+    "parse_config",
+    "parse_config_text",
+    "render_config",
+}
+
+
+def test_package_all_is_pinned():
+    assert len(wpcnsim.__all__) == len(PUBLIC_NAMES)
+    assert set(wpcnsim.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(wpcnsim, name)

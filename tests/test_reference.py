@@ -1,0 +1,115 @@
+"""simulate_tour against the scalar reference tour on random small missions."""
+
+import dataclasses
+import math
+import time
+
+import numpy as np
+import pytest
+
+from reference import link_geometry, reference_tour
+from wpcnsim.mission import ScenarioConfig, _flight_path, _geometry, simulate_tour, validate_config
+from wpcnsim.rf_link import EnergyCosts, LinkParams
+
+N_CONFIGS = 300
+
+
+def _rho_min(aspect_ratio, perimeter):
+    """Least radius of curvature of the path, the bound on the standoff."""
+    path = _flight_path(aspect_ratio, perimeter)
+    return path.semi_minor**2 / path.semi_major
+
+
+def _random_config(rng):
+    """A small mission that validate_config may still reject."""
+    aspect_ratio = float(rng.choice([1.0, rng.uniform(1.0, 6.0)]))
+    perimeter = float(rng.uniform(30.0, 200.0))
+    rho_min = _rho_min(aspect_ratio, perimeter)
+    layout = str(rng.choice(["s1", "s2"]))
+    n_sensors = int(rng.integers(1, 7)) * (2 if layout == "s2" else 1)
+    if rng.random() < 0.3:
+        standoff = rho_min * float(rng.uniform(0.98, 1.0))  # near the curvature limit
+    else:
+        standoff = float(rng.uniform(0.2, 1.5))
+    link = LinkParams(
+        frequency=float(rng.uniform(1e9, 3e9)),
+        tx_power=float(rng.uniform(1.0, 5.0)),
+        tx_gain_dbi=float(rng.uniform(3.0, 12.0)),
+        rx_gain_dbi=float(rng.uniform(3.0, 12.0)),
+        rf_dc_efficiency=float(rng.uniform(0.3, 0.95)),
+        harvest_threshold=float(rng.choice([0.0, rng.uniform(1e-4, 1e-3)], p=[0.1, 0.9])),
+        angle_exponent=float(rng.choice([0.0, 1.0, rng.uniform(0.0, 4.0)])),
+    )
+    costs = EnergyCosts(
+        e_measurement=float(rng.uniform(0.001, 0.02)),
+        e_tx_packet=float(rng.uniform(0.0, 0.02)),
+        e_rx_packet=float(rng.uniform(0.0, 0.05)),
+    )
+    return dataclasses.replace(
+        ScenarioConfig(),
+        link=link,
+        costs=costs,
+        n_sensors=n_sensors,
+        layout=layout,
+        placement=str(rng.choice(["p1", "p2"])),
+        n_stops=int(rng.choice([0, rng.integers(1, 25)], p=[0.1, 0.9])),
+        dwell_time=float(rng.uniform(1.0, 60.0)),
+        phase_split=float(rng.uniform(0.05, 0.95)),
+        path_perimeter=perimeter,
+        aspect_ratio=aspect_ratio,
+        standoff=standoff,
+        cluster_spacing=float(rng.uniform(0.05, 2.0)),
+        p2_phase=float(rng.uniform(0.0, 0.99 * perimeter)),
+    )
+
+
+def _accepted_configs(seed, count):
+    rng = np.random.default_rng(seed)
+    configs = []
+    while len(configs) < count:
+        config = _random_config(rng)
+        if not validate_config(config):
+            configs.append(config)
+    return configs
+
+
+def test_simulate_tour_matches_reference():
+    start = time.perf_counter()
+    configs = _accepted_configs(4242, N_CONFIGS)
+    delivering = 0
+    for config in configs:
+        path, field, plan = _geometry(config)
+        ledger = simulate_tour(config, path, field, plan)
+        stops, sensors = reference_tour(config, field, plan)
+        assert [(rec.charged, rec.packets) for rec in ledger.per_stop] == stops
+        assert [rec.packets for rec in ledger.per_sensor] == [s["packets"] for s in sensors]
+        for rec, want in zip(ledger.per_sensor, sensors):
+            # spent and residual are measured on the scale of the account
+            scale = 1e-12 * want["harvested"]
+            assert math.isclose(rec.harvested, want["harvested"], rel_tol=1e-12)
+            assert abs(rec.spent - want["spent"]) <= scale
+            assert abs(rec.residual - want["residual"]) <= scale
+        delivering += ledger.total_packets > 0
+    elapsed = time.perf_counter() - start
+    print(f"{delivering}/{len(configs)} configs deliver packets, {elapsed:.2f} s")
+    # the draws reach both layouts and placements, empty tours, a flat
+    # pattern, a zero threshold and standoffs at the curvature limit
+    assert {c.layout for c in configs} == {"s1", "s2"}
+    assert {c.placement for c in configs} == {"p1", "p2"}
+    assert any(c.n_stops == 0 for c in configs)
+    assert any(c.link.angle_exponent == 0.0 for c in configs)
+    assert any(c.link.harvest_threshold == 0.0 for c in configs)
+    assert any(c.standoff > 0.98 * _rho_min(c.aspect_ratio, c.path_perimeter) for c in configs)
+    assert delivering >= len(configs) / 4
+    assert elapsed < 5.0
+
+
+def test_link_geometry_344_triangle():
+    dist, incidence = link_geometry([0.0, 0.0], [1.0, 0.0], [3.0, 4.0])
+    assert dist == pytest.approx(5.0, abs=1e-12)
+    assert incidence == pytest.approx(math.atan2(4.0, 3.0), abs=1e-12)
+
+
+def test_link_geometry_rejects_co_located_points():
+    with pytest.raises(ValueError):
+        link_geometry([1.0, 2.0], [1.0, 0.0], [1.0, 2.0])

@@ -3,6 +3,8 @@
 import dataclasses
 import functools
 import math
+import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
@@ -44,6 +46,12 @@ CRASH_CONFIGS = {
     "tiny-packet-cost": {"e_measurement": 1e-300, "e_tx_packet": 0.0},
     "tiny-standoff": {"standoff": 1e-300},
 }
+# the perimeter bisection never ended on these, or sized a path that
+# integrates to 0 or inf
+CRASH_CONFIGS.update(
+    (f"perimeter-{value!r}", {"path_perimeter": value})
+    for value in (5e-324, 1e-320, 1e-310, 1e300, 1e308, sys.float_info.max)
+)
 
 
 @pytest.mark.parametrize("values", CRASH_CONFIGS.values(), ids=CRASH_CONFIGS.keys())
@@ -95,6 +103,13 @@ def test_geometry_violations_lead_with_the_config_key():
     assert validate_config(dataclasses.replace(DEFAULTS, path_perimeter=-1.0)) == [
         "path_perimeter: target_perimeter must be positive, got -1.0"
     ]
+    # a path that cannot be sized is the perimeter's fault, and the arc
+    # integral's under- or overflow stays quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for perimeter in (3e-320, 3e300):
+            (message,) = validate_config(dataclasses.replace(DEFAULTS, path_perimeter=perimeter))
+            assert message.startswith(f"path_perimeter: target_perimeter {perimeter!r} ")
 
 
 def test_packet_cost_rules():
