@@ -98,8 +98,8 @@ def ellipse_from_perimeter(aspect_ratio: float, target_perimeter: float) -> Elli
     Bisection runs on a scale factor applied to the unit-minor-axis shape;
     the perimeter is homogeneous in scale, so every step is arithmetic.
     It stops at the tolerance or once the midpoint no longer moves, so it
-    ends for every finite target; a target whose axes under- or overflow
-    in the arc integral raises ValueError.
+    ends for every finite target; an aspect ratio or a target whose axes
+    overflow or underflow in the arc integral raises ValueError.
 
     Args:
         aspect_ratio: semi_major / semi_minor, must be >= 1.
@@ -112,6 +112,10 @@ def ellipse_from_perimeter(aspect_ratio: float, target_perimeter: float) -> Elli
 
     with np.errstate(over="ignore"):
         unit = float(_arc_table(float(aspect_ratio), 1.0)[-1])
+        if not math.isfinite(unit):
+            raise ValueError(
+                f"aspect_ratio {aspect_ratio} cannot be sized: its unit shape integrates to {unit}"
+            )
         lo = 0.5 * (target_perimeter / unit)
         hi = 2.0 * (target_perimeter / unit)
         while (hi - lo) * unit > 0.25 * _REL_TOL * target_perimeter:

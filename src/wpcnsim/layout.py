@@ -27,6 +27,10 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _SEAM_SNAP = 1e-9  # m; arcs this close to the perimeter wrap to zero
+# largest relative error of a realized sensor offset: on a path whose
+# coordinates are too coarse for the standoff, sensors round onto or away
+# from their foot points
+_OFFSET_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +102,16 @@ def _field_at_arcs(
 ) -> SensorField:
     _check_standoff(path, standoff)
     feet, _, normals = poses_at_arcs(path, arcs)
+    positions = feet - standoff * normals
+    worst = float(np.abs(np.linalg.norm(feet - positions, axis=1) - standoff).max(initial=0.0))
+    if worst > _OFFSET_TOL * standoff:
+        raise ValueError(
+            f"standoff {standoff} is below the resolution of this path's coordinates: "
+            f"realized offsets are off by up to {worst:.3g}"
+        )
     return SensorField(
         arc_coords=arcs,
-        positions=feet - standoff * normals,
+        positions=positions,
         normals=normals,
         cluster_ids=cluster_ids,
     )

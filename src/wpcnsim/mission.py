@@ -7,8 +7,10 @@ banks energy for that whole phase. The remainder of the dwell polls
 exactly those sensors, which convert stored energy into measure-and-send
 packet units while the drone pays a fixed receive cost per packet.
 
-All ledger sums run in a fixed order (stops in tour order, sensors by
-ascending id) so repeated runs produce bit-identical ledgers.
+Only stop-sensor pairs within the boresight harvest reach are evaluated,
+so a tour costs what its pairs in reach cost, not stops x sensors. Each
+sensor's sums run over its own visits in stop order, and records list
+sensors by ascending id, so repeated runs produce bit-identical ledgers.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from wpcnsim.rf_link import (
     EnergyCosts,
     LinkParams,
     harvest_rate,
+    max_boresight_harvest_range,
     packets_supported,
     received_power,
 )
@@ -302,6 +305,39 @@ def run_mission(config: ScenarioConfig) -> MissionLedger:
     return simulate_tour(config, *_geometry(config))
 
 
+def _charging_pairs(link: LinkParams, field: SensorField, plan: StopPlan):
+    """(stop, sensor, rate) of every pair that charges, by stop then sensor id.
+
+    Only sensors within the boresight harvest reach of a stop can charge
+    there, so each stop's candidates are the window |dx| <= reach on the
+    sensors sorted by x; the exact budget runs on those rows alone.
+    """
+    order = np.argsort(field.positions[:, 0], kind="stable")
+    xs = field.positions[order, 0]
+    stop_xs = plan.positions[:, 0]
+    span = max(np.abs(xs).max(initial=0.0), np.abs(stop_xs).max(initial=0.0))
+    # the threshold test runs on a budget rounded by a few ulps of its dB
+    # terms, which moves the distance where it passes by far less than the
+    # 1e-6 relative slack; the window ends and the x deltas round by at most
+    # an ulp of the largest coordinate, which 4 spacings cover
+    reach = max_boresight_harvest_range(link) * (1.0 + 1e-6) + 4.0 * np.spacing(span)
+    lo = np.searchsorted(xs, stop_xs - reach, side="left")
+    counts = np.searchsorted(xs, stop_xs + reach, side="right") - lo
+    stop = np.repeat(np.arange(plan.n_stops), counts)
+    first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    sensor = order[first + np.arange(stop.size)]
+
+    delta = plan.positions[stop] - field.positions[sensor]
+    dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    cos_inc = np.einsum("ij,ij->i", delta, field.normals[sensor]) / dist
+    incidence = np.arccos(np.clip(cos_inc, -1.0, 1.0))
+    rate = harvest_rate(link, received_power(link, dist, incidence))
+    charging = rate > 0.0
+    stop, sensor, rate = stop[charging], sensor[charging], rate[charging]
+    by_stop = np.lexsort((sensor, stop))
+    return stop[by_stop], sensor[by_stop], rate[by_stop]
+
+
 def simulate_tour(
     config: ScenarioConfig, path: EllipseSpec, field: SensorField, plan: StopPlan
 ) -> MissionLedger:
@@ -309,43 +345,54 @@ def simulate_tour(
 
     Lower-level entry point for handcrafted plans; run_mission is the
     usual front door. The plan places the stops and config.dwell_time
-    sets how long the drone hovers at each.
+    sets how long the drone hovers at each. A stop that sits on a sensor
+    raises ValueError.
     """
     k, n = plan.n_stops, field.n_sensors
     charge_time = config.dwell_time * config.phase_split
     unit = config.costs.packet_unit
+    stop, sensor, rate = _charging_pairs(config.link, field, plan)
+    banked = rate * charge_time
+
+    # a sensor's account depends only on its own visits, in stop order:
+    # round r settles every sensor's r-th visit at once
+    visits = np.bincount(sensor, minlength=n)
+    by_sensor = np.argsort(sensor, kind="stable")
+    ordinal = np.empty(sensor.size, dtype=np.int64)
+    ordinal[by_sensor] = np.arange(sensor.size) - np.repeat(np.cumsum(visits) - visits, visits)
+    by_round = np.argsort(ordinal, kind="stable")
+    round_ends = np.cumsum(np.bincount(ordinal)).tolist()
     harvested = np.zeros(n)
     spent = np.zeros(n)
     packets = np.zeros(n, dtype=np.int64)
-    if k:
-        delta = plan.positions[:, None, :] - field.positions[None, :, :]
-        dist = np.sqrt(np.einsum("kij,kij->ki", delta, delta))
-        cos_inc = np.einsum("kij,ij->ki", delta, field.normals) / dist
-        incidence = np.arccos(np.clip(cos_inc, -1.0, 1.0))
-        rate = harvest_rate(config.link, received_power(config.link, dist, incidence))
+    pair_packets = np.zeros(sensor.size, dtype=np.int64)
+    for a, b in zip([0] + round_ends, round_ends):
+        pairs = by_round[a:b]
+        ids = sensor[pairs]
+        harvested[ids] += banked[pairs]
+        count = packets_supported(harvested[ids] - spent[ids], config.costs)
+        # spending may not push the account past what was harvested
+        while True:
+            over = (count > 0) & (spent[ids] + count * unit > harvested[ids])
+            if not over.any():
+                break
+            count -= over
+        spent[ids] += count * unit
+        packets[ids] += count
+        pair_packets[pairs] = count
 
-    per_stop = []
-    for j in range(k):
-        banked = rate[j] * charge_time
-        ids = np.nonzero(rate[j] > 0.0)[0]
-        harvested[ids] += banked[ids]
-        stop_packets = 0
-        for i in ids:
-            count = packets_supported(harvested[i] - spent[i], config.costs)
-            # spending may not push the account past what was harvested
-            while count > 0 and spent[i] + count * unit > harvested[i]:
-                count -= 1
-            spent[i] += count * unit
-            packets[i] += count
-            stop_packets += count
-        per_stop.append(
-            StopRecord(
-                stop_id=j,
-                charged=tuple(int(i) for i in ids),
-                delivered=tuple(float(banked[i]) for i in ids),
-                packets=stop_packets,
-            )
+    stop_ends = np.searchsorted(stop, np.arange(1, k + 1)).tolist()
+    pair_sums = [0] + np.cumsum(pair_packets).tolist()
+    charged, delivered = sensor.tolist(), banked.tolist()
+    per_stop = tuple(
+        StopRecord(
+            stop_id=j,
+            charged=tuple(charged[a:b]),
+            delivered=tuple(delivered[a:b]),
+            packets=pair_sums[b] - pair_sums[a],
         )
+        for j, (a, b) in enumerate(zip([0] + stop_ends, stop_ends))
+    )
 
     loop_time = config.path_perimeter / config.cruise_speed
     flight_energy = loop_time * config.uav_flight_power
@@ -358,14 +405,10 @@ def simulate_tour(
     rx_energy = total_packets * config.costs.e_rx_packet
     total = flight_energy + hover_energy + wpt_energy + rx_energy
     per_sensor = tuple(
-        SensorRecord(
-            sensor_id=i,
-            harvested=float(harvested[i]),
-            spent=float(spent[i]),
-            residual=float(harvested[i] - spent[i]),
-            packets=int(packets[i]),
+        SensorRecord(sensor_id=i, harvested=h, spent=s, residual=r, packets=p)
+        for i, (h, s, r, p) in enumerate(
+            zip(harvested.tolist(), spent.tolist(), (harvested - spent).tolist(), packets.tolist())
         )
-        for i in range(n)
     )
     return MissionLedger(
         total_uav_energy=total,

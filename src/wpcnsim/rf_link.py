@@ -128,26 +128,37 @@ def harvest_rate(params: LinkParams, p_received):
     return float(rate) if rate.ndim == 0 else rate
 
 
-def packets_supported(stored_energy: float, costs: EnergyCosts) -> int:
-    """Whole packets a sensor can measure and send from its stored energy."""
+def packets_supported(stored_energy, costs: EnergyCosts):
+    """Whole packets a sensor can measure and send from its stored energy.
+
+    Array-friendly like received_power: a scalar gives an int, an array
+    an int64 array of counts, one per element.
+    """
     unit = costs.packet_unit
     if not unit > 0.0:
         raise ValueError("per-packet energy must be positive")
-    if stored_energy < 0.0:
-        raise ValueError(f"stored energy must be >= 0, got {stored_energy}")
-    n = int(math.floor(stored_energy / unit))
+    stored = np.asarray(stored_energy, dtype=float)
+    if np.any(stored < 0.0):
+        raise ValueError(f"stored energy must be >= 0, got {stored.min()}")
+    n = np.floor(stored / unit)
     # float floor can overshoot by one ulp; never spend more than stored
-    if n > 0 and n * unit > stored_energy:
-        n -= 1
-    return n
+    n -= (n > 0.0) & (n * unit > stored)
+    if not np.all(n < 2.0**63):
+        raise ValueError(f"packet count {n.max()} does not fit int64")
+    return int(n) if n.ndim == 0 else n.astype(np.int64)
 
 
 def max_boresight_harvest_range(params: LinkParams) -> float:
-    """Largest boresight distance at which harvesting still engages."""
-    numerator = params.tx_power * 10.0 ** (
-        (params.tx_gain_dbi + params.rx_gain_dbi) / 10.0
-    )
-    if numerator == 0.0:
+    """Largest boresight distance at which harvesting still engages.
+
+    No sensor farther than this from a stop can charge there, so
+    simulate_tour evaluates only the stop-sensor pairs within it.
+    """
+    with np.errstate(over="ignore"):
+        gain = float(np.power(10.0, (params.tx_gain_dbi + params.rx_gain_dbi) / 10.0))
+    numerator = params.tx_power * gain
+    # a gain beyond float range is inf, and then no power is 0 * inf = nan
+    if not numerator > 0.0:
         return 0.0
     if params.harvest_threshold == 0.0:
         return math.inf

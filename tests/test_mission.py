@@ -1,6 +1,7 @@
 """Mission engine checks: ledgers, feasibility, carry-over, determinism."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,34 @@ def test_one_plan_hovers_for_each_config_dwell():
         assert ledger.hover_energy == (80 * dwell) * DEFAULTS.uav_flight_power
         assert ledger.mission_time == 80.0 + 80 * dwell
         assert ledger == run_mission(config)
+
+
+def test_stop_on_a_sensor_raises():
+    path = ellipse_from_perimeter(5.0, 500.0)
+    field = place_sensors_even(path, 10)
+    plan = StopPlan(field.arc_coords[3:4].copy(), field.positions[3:4].copy())
+    dark = dataclasses.replace(DEFAULTS.link, tx_power=0.0)
+    # with no power the harvest reach is 0, and the pair is still evaluated
+    for link in (DEFAULTS.link, dark):
+        config = dataclasses.replace(DEFAULTS, link=link, n_sensors=10, n_stops=1)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="distance"):
+            simulate_tour(config, path, field, plan)
+
+
+def test_large_tour_memory_stays_with_the_pairs_in_reach():
+    # a dense 5000 x 1000 tour held about 380 MiB of pair arrays
+    path = ellipse_from_perimeter(5.0, 500.0)
+    field = place_sensors_even(path, 5000)
+    plan = place_stops_facing(path, field, 1000)
+    config = dataclasses.replace(DEFAULTS, n_sensors=5000, n_stops=1000)
+    tracemalloc.start()
+    try:
+        ledger = simulate_tour(config, path, field, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ledger.total_packets > 0
+    assert peak < 64 * 2**20
 
 
 def test_non_positive_dwell_is_a_config_error():

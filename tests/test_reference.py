@@ -9,7 +9,7 @@ import pytest
 
 from reference import link_geometry, reference_tour
 from wpcnsim.mission import ScenarioConfig, _flight_path, _geometry, simulate_tour, validate_config
-from wpcnsim.rf_link import EnergyCosts, LinkParams
+from wpcnsim.rf_link import EnergyCosts, LinkParams, max_boresight_harvest_range
 
 N_CONFIGS = 300
 
@@ -73,22 +73,28 @@ def _accepted_configs(seed, count):
     return configs
 
 
+def _assert_matches_reference(config):
+    """simulate_tour's ledger for config, checked against the reference tour."""
+    path, field, plan = _geometry(config)
+    ledger = simulate_tour(config, path, field, plan)
+    stops, sensors = reference_tour(config, field, plan)
+    assert [(rec.charged, rec.packets) for rec in ledger.per_stop] == stops
+    assert [rec.packets for rec in ledger.per_sensor] == [s["packets"] for s in sensors]
+    for rec, want in zip(ledger.per_sensor, sensors):
+        # spent and residual are measured on the scale of the account
+        scale = 1e-12 * want["harvested"]
+        assert math.isclose(rec.harvested, want["harvested"], rel_tol=1e-12)
+        assert abs(rec.spent - want["spent"]) <= scale
+        assert abs(rec.residual - want["residual"]) <= scale
+    return ledger
+
+
 def test_simulate_tour_matches_reference():
     start = time.perf_counter()
     configs = _accepted_configs(4242, N_CONFIGS)
     delivering = 0
     for config in configs:
-        path, field, plan = _geometry(config)
-        ledger = simulate_tour(config, path, field, plan)
-        stops, sensors = reference_tour(config, field, plan)
-        assert [(rec.charged, rec.packets) for rec in ledger.per_stop] == stops
-        assert [rec.packets for rec in ledger.per_sensor] == [s["packets"] for s in sensors]
-        for rec, want in zip(ledger.per_sensor, sensors):
-            # spent and residual are measured on the scale of the account
-            scale = 1e-12 * want["harvested"]
-            assert math.isclose(rec.harvested, want["harvested"], rel_tol=1e-12)
-            assert abs(rec.spent - want["spent"]) <= scale
-            assert abs(rec.residual - want["residual"]) <= scale
+        ledger = _assert_matches_reference(config)
         delivering += ledger.total_packets > 0
     elapsed = time.perf_counter() - start
     print(f"{delivering}/{len(configs)} configs deliver packets, {elapsed:.2f} s")
@@ -102,6 +108,46 @@ def test_simulate_tour_matches_reference():
     assert any(c.standoff > 0.98 * _rho_min(c.aspect_ratio, c.path_perimeter) for c in configs)
     assert delivering >= len(configs) / 4
     assert elapsed < 5.0
+
+
+SMALL = dataclasses.replace(ScenarioConfig(), n_sensors=40, n_stops=60)
+NARROW = dataclasses.replace(SMALL, path_perimeter=60.0, aspect_ratio=10.0, standoff=0.1)
+# the tour evaluates only the pairs within harvest reach of a stop
+WINDOWS = {
+    # the path is narrower than the reach: each stop's window holds the far
+    # side, and stops near a tip reach round it
+    "narrow-path": NARROW,
+    "narrow-path-p2-s2": dataclasses.replace(NARROW, placement="p2", layout="s2"),
+    # an infinite reach: the window spans every pair
+    "zero-threshold": dataclasses.replace(
+        SMALL, link=dataclasses.replace(SMALL.link, harvest_threshold=0.0)
+    ),
+    # a zero reach: no pair charges
+    "dark": dataclasses.replace(SMALL, link=dataclasses.replace(SMALL.link, tx_power=0.0)),
+}
+
+
+@pytest.mark.parametrize("config", WINDOWS.values(), ids=WINDOWS.keys())
+def test_harvest_window_matches_reference(config):
+    assert validate_config(config) == []
+    path = _flight_path(config.aspect_ratio, config.path_perimeter)
+    reach = max_boresight_harvest_range(config.link)
+    if config is NARROW:
+        assert 2.0 * path.semi_minor < reach and path.semi_major > reach
+    ledger = _assert_matches_reference(config)
+    if math.isinf(reach):
+        # with no threshold, pairs charge far beyond the default reach
+        _, field, plan = _geometry(config)
+        farthest = max(
+            math.dist(plan.positions[rec.stop_id], field.positions[i])
+            for rec in ledger.per_stop
+            for i in rec.charged
+        )
+        assert farthest > 5.0 * max_boresight_harvest_range(SMALL.link)
+    if reach == 0.0:
+        assert ledger.total_packets == 0
+    else:
+        assert ledger.total_packets > 0
 
 
 def test_link_geometry_344_triangle():

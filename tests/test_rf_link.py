@@ -141,6 +141,28 @@ def test_packets_never_overspend():
         assert stored - n * unit < unit * (1.0 + 1e-12)
 
 
+def test_packets_array_form_matches_scalar_form():
+    unit = COSTS.packet_unit
+    whole = np.arange(1, 200) * unit
+    stored = np.concatenate(
+        (
+            [0.0, 0.019, 0.0399, 0.1, 5e-324],
+            whole,
+            np.nextafter(whole, 0.0),  # one ulp below a whole packet
+            np.nextafter(whole, 1.0),
+            np.random.default_rng(5).uniform(0.0, 10.0, 200),
+        )
+    )
+    counts = packets_supported(stored, COSTS)
+    assert counts.dtype == np.int64 and counts.shape == stored.shape
+    scalar = [packets_supported(float(x), COSTS) for x in stored]
+    assert all(type(n) is int for n in scalar)
+    assert counts.tolist() == scalar
+    assert np.all(counts * unit <= stored)
+    with pytest.raises(ValueError):
+        packets_supported(np.array([0.1, -0.01]), COSTS)
+
+
 def test_packets_rejects_bad_inputs():
     with pytest.raises(ValueError):
         packets_supported(-0.01, COSTS)
@@ -171,6 +193,10 @@ def test_max_harvest_range_degenerate_cases():
     assert max_boresight_harvest_range(dark) == 0.0
     free = dataclasses.replace(LINK, harvest_threshold=0.0)
     assert max_boresight_harvest_range(free) == math.inf
+    # a gain beyond float range reaches everywhere, unless nothing is sent
+    loud = dataclasses.replace(LINK, tx_gain_dbi=4000.0)
+    assert max_boresight_harvest_range(loud) == math.inf
+    assert max_boresight_harvest_range(dataclasses.replace(loud, tx_power=0.0)) == 0.0
 
 
 def test_link_params_validation():

@@ -52,6 +52,11 @@ CRASH_CONFIGS.update(
     (f"perimeter-{value!r}", {"path_perimeter": value})
     for value in (5e-324, 1e-320, 1e-310, 1e300, 1e308, sys.float_info.max)
 )
+# the 1 m standoff is below the spacing of these paths' coordinates, so
+# sensors round onto or away from their foot points
+CRASH_CONFIGS.update(
+    (f"perimeter-{value!r}", {"path_perimeter": value}) for value in (1e16, 1e20, 1e150)
+)
 
 
 @pytest.mark.parametrize("values", CRASH_CONFIGS.values(), ids=CRASH_CONFIGS.keys())
@@ -110,6 +115,14 @@ def test_geometry_violations_lead_with_the_config_key():
         for perimeter in (3e-320, 3e300):
             (message,) = validate_config(dataclasses.replace(DEFAULTS, path_perimeter=perimeter))
             assert message.startswith(f"path_perimeter: target_perimeter {perimeter!r} ")
+        # the unit shape of an extreme aspect ratio integrates to inf
+        for aspect_ratio in (1e200, 1e300):
+            (message,) = validate_config(dataclasses.replace(DEFAULTS, aspect_ratio=aspect_ratio))
+            assert message.startswith(f"aspect_ratio: aspect_ratio {aspect_ratio!r} ")
+    # on a huge path the standoff is below the coordinates' resolution
+    (message,) = validate_config(dataclasses.replace(DEFAULTS, path_perimeter=1e20))
+    assert message.startswith("standoff: standoff 1.0 ")
+    assert validate_config(dataclasses.replace(DEFAULTS, path_perimeter=1e9)) == []
 
 
 def test_packet_cost_rules():
