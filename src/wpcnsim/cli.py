@@ -21,7 +21,7 @@ from wpcnsim.config_io import (
     write_sweep_csv,
     write_sweep_summary,
 )
-from wpcnsim.mission import ConfigError, ScenarioConfig, endurance, run_mission, validate_config
+from wpcnsim.mission import ConfigError, ScenarioConfig, endurance, run_mission
 from wpcnsim.sweep import (
     DEFAULT_CASES,
     calibrate_speed,
@@ -129,12 +129,8 @@ def _resolve_config(args) -> ScenarioConfig:
         placement, layout = _CASES[args.case]
         overrides["placement"] = placement
         overrides["layout"] = layout
-    if overrides:
-        config = replace(config, **overrides)
-        violations = validate_config(config)
-        if violations:
-            raise ConfigError(violations)
-    return config
+    # run_mission validates what the overrides make of the config
+    return replace(config, **overrides)
 
 
 def _digest(config: ScenarioConfig) -> str:
@@ -191,8 +187,8 @@ def _parse_dwells(text: str):
         raise ConfigError(
             [f"--dwells {text!r}: expected comma-separated numbers"]
         ) from None
-    if not dwells:
-        raise ConfigError([f"--dwells {text!r}: expected at least one value"])
+    if len(set(dwells)) < len(dwells):
+        raise ConfigError([f"--dwells {text!r}: each dwell may appear only once"])
     return dwells
 
 

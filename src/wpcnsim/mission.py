@@ -212,14 +212,8 @@ def _geometry(config: ScenarioConfig):
     return path, field, plan
 
 
-def validate_config(config: ScenarioConfig) -> list:
-    """Check every invariant and return all violations, not just the first.
-
-    Once the rules on single values hold (tokens, counts, signs, finite
-    numbers), the geometry is built as run_mission builds it, so the path
-    limits hold against the realized path; each failing stage adds a message.
-    Last, the packets a mission could count must stay exact in floats.
-    """
+def _value_errors(config: ScenarioConfig) -> list:
+    """Violations of the rules on single values: tokens, counts, signs, finite numbers."""
     errors = [
         f"{key} must be finite, got {value}"
         for _, key, value in _leaves(config)
@@ -252,25 +246,53 @@ def validate_config(config: ScenarioConfig) -> list:
     unit = config.costs.packet_unit
     if unit <= 0.0:
         errors.append(f"e_measurement + e_tx_packet must be > 0, got {unit}")
+    return errors
+
+
+def _standoff_rate(config: ScenarioConfig) -> float:
+    """Boresight harvest rate at the standoff, which no visit can beat.
+
+    No sensor is nearer a stop than standoff; a rate beyond float range
+    overflows to inf.
+    """
+    with np.errstate(over="ignore"):
+        power = received_power(config.link, [config.standoff], [0.0])
+    return float(harvest_rate(config.link, power)[0])
+
+
+def _packet_bound(config: ScenarioConfig, best: float) -> list:
+    """The violation of a mission that could count past 2**53 packets, if any.
+
+    best is _standoff_rate(config); above 2**53 packets, float arithmetic
+    loses whole packets.
+    """
+    unit = config.costs.packet_unit
+    charge = config.n_sensors * config.n_stops * config.dwell_time * config.phase_split
+    bound = best * charge / unit
+    if bound >= 2.0**53:
+        return [
+            f"a mission could count up to {bound:.3g} packets of e_measurement + "
+            f"e_tx_packet = {unit} J, beyond the 2**53 that floats count exactly"
+        ]
+    return []
+
+
+def validate_config(config: ScenarioConfig) -> list:
+    """Check every invariant and return all violations, not just the first.
+
+    Once the rules on single values hold (tokens, counts, signs, finite
+    numbers), the geometry is built as run_mission builds it, so the path
+    limits hold against the realized path; each failing stage adds a message.
+    Last, the packets a mission could count must stay exact in floats.
+    """
+    errors = _value_errors(config)
     if not errors:
         try:
             _geometry(config)
         except ConfigError as err:
             errors.extend(err.errors)
     if not errors:
-        # no sensor is nearer a stop than standoff, so every visit banks at
-        # most the boresight harvest at that range (arrays overflow to inf);
-        # above 2**53 packets, float arithmetic loses whole packets
-        with np.errstate(over="ignore"):
-            power = received_power(config.link, [config.standoff], [0.0])
-        best = float(harvest_rate(config.link, power)[0])
-        charge = config.n_sensors * config.n_stops * config.dwell_time * config.phase_split
-        bound = best * charge / unit
-        if bound >= 2.0**53:
-            errors.append(
-                f"a mission could count up to {bound:.3g} packets of e_measurement + "
-                f"e_tx_packet = {unit} J, beyond the 2**53 that floats count exactly"
-            )
+        errors.extend(_packet_bound(config, _standoff_rate(config)))
     return errors
 
 
@@ -338,24 +360,16 @@ def _charging_pairs(link: LinkParams, field: SensorField, plan: StopPlan):
     return stop[by_stop], sensor[by_stop], rate[by_stop]
 
 
-def simulate_tour(
-    config: ScenarioConfig, path: EllipseSpec, field: SensorField, plan: StopPlan
-) -> MissionLedger:
-    """Simulate one tour over an explicit field and stop plan.
+def _settle(sensor: np.ndarray, banked: np.ndarray, n: int, costs: EnergyCosts):
+    """Settle n sensor accounts over their charging visits.
 
-    Lower-level entry point for handcrafted plans; run_mission is the
-    usual front door. The plan places the stops and config.dwell_time
-    sets how long the drone hovers at each. A stop that sits on a sensor
-    raises ValueError.
+    sensor and banked are per pair, each account's visits in the order it
+    was visited. Returns per-account harvested, spent and packets, and
+    packets per pair.
     """
-    k, n = plan.n_stops, field.n_sensors
-    charge_time = config.dwell_time * config.phase_split
-    unit = config.costs.packet_unit
-    stop, sensor, rate = _charging_pairs(config.link, field, plan)
-    banked = rate * charge_time
-
-    # a sensor's account depends only on its own visits, in stop order:
-    # round r settles every sensor's r-th visit at once
+    unit = costs.packet_unit
+    # an account depends only on its own visits, in order: round r
+    # settles every account's r-th visit at once
     visits = np.bincount(sensor, minlength=n)
     by_sensor = np.argsort(sensor, kind="stable")
     ordinal = np.empty(sensor.size, dtype=np.int64)
@@ -370,7 +384,7 @@ def simulate_tour(
         pairs = by_round[a:b]
         ids = sensor[pairs]
         harvested[ids] += banked[pairs]
-        count = packets_supported(harvested[ids] - spent[ids], config.costs)
+        count = packets_supported(harvested[ids] - spent[ids], costs)
         # spending may not push the account past what was harvested
         while True:
             over = (count > 0) & (spent[ids] + count * unit > harvested[ids])
@@ -380,6 +394,35 @@ def simulate_tour(
         spent[ids] += count * unit
         packets[ids] += count
         pair_packets[pairs] = count
+    return harvested, spent, packets, pair_packets
+
+
+def _energy(config: ScenarioConfig, n_stops: int, total_packets: int):
+    """(flight, hover, wpt, rx, total) joules; total adds them in that order."""
+    flight = config.path_perimeter / config.cruise_speed * config.uav_flight_power
+    hover = (n_stops * config.dwell_time) * config.uav_flight_power
+    if config.wpt_draw_mode == "additional":
+        wpt = (n_stops * (config.dwell_time * config.phase_split)) * config.link.tx_power
+    else:
+        wpt = 0.0
+    rx = total_packets * config.costs.e_rx_packet
+    return flight, hover, wpt, rx, flight + hover + wpt + rx
+
+
+def simulate_tour(
+    config: ScenarioConfig, path: EllipseSpec, field: SensorField, plan: StopPlan
+) -> MissionLedger:
+    """Simulate one tour over an explicit field and stop plan.
+
+    Lower-level entry point for handcrafted plans; run_mission is the
+    usual front door. The plan places the stops and config.dwell_time
+    sets how long the drone hovers at each. A stop that sits on a sensor
+    raises ValueError.
+    """
+    k, n = plan.n_stops, field.n_sensors
+    stop, sensor, rate = _charging_pairs(config.link, field, plan)
+    banked = rate * (config.dwell_time * config.phase_split)
+    harvested, spent, packets, pair_packets = _settle(sensor, banked, n, config.costs)
 
     stop_ends = np.searchsorted(stop, np.arange(1, k + 1)).tolist()
     pair_sums = [0] + np.cumsum(pair_packets).tolist()
@@ -393,32 +436,23 @@ def simulate_tour(
         )
         for j, (a, b) in enumerate(zip([0] + stop_ends, stop_ends))
     )
-
-    loop_time = config.path_perimeter / config.cruise_speed
-    flight_energy = loop_time * config.uav_flight_power
-    hover_energy = (k * config.dwell_time) * config.uav_flight_power
-    if config.wpt_draw_mode == "additional":
-        wpt_energy = (k * charge_time) * config.link.tx_power
-    else:
-        wpt_energy = 0.0
-    total_packets = int(packets.sum())
-    rx_energy = total_packets * config.costs.e_rx_packet
-    total = flight_energy + hover_energy + wpt_energy + rx_energy
     per_sensor = tuple(
         SensorRecord(sensor_id=i, harvested=h, spent=s, residual=r, packets=p)
         for i, (h, s, r, p) in enumerate(
             zip(harvested.tolist(), spent.tolist(), (harvested - spent).tolist(), packets.tolist())
         )
     )
+    total_packets = int(packets.sum())
+    flight, hover, wpt, rx, total = _energy(config, k, total_packets)
     return MissionLedger(
         total_uav_energy=total,
-        flight_energy=flight_energy,
-        hover_energy=hover_energy,
-        wpt_energy=wpt_energy,
-        rx_energy=rx_energy,
-        per_stop=tuple(per_stop),
+        flight_energy=flight,
+        hover_energy=hover,
+        wpt_energy=wpt,
+        rx_energy=rx,
+        per_stop=per_stop,
         per_sensor=per_sensor,
         total_packets=total_packets,
         feasible=total <= config.uav_battery,
-        mission_time=loop_time + k * config.dwell_time,
+        mission_time=config.path_perimeter / config.cruise_speed + k * config.dwell_time,
     )

@@ -2,9 +2,13 @@
 plus the derived metrics: efficiency, gain ratios, peak detection,
 and the two calibration solvers.
 
-Cells are pure functions of (base config, cell coordinates), so the
-table can be evaluated in parallel worker processes without changing
-a single output bit; the emitted ordering is fixed by the axes.
+A sweep runs case by case. Each (case, stop count) geometry and its
+charging pairs are built once and serve every dwell; the valid cells
+of a case then settle in one accounting pass with run_mission's own
+kernel, each cell's sensors under ids of their own. Cells are pure
+functions of (base config, cell coordinates), so cases can be spread
+over worker processes without changing a single output bit; the
+emitted ordering is fixed by the axes.
 """
 
 from __future__ import annotations
@@ -13,13 +17,23 @@ import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
 
 from wpcnsim.mission import (
     ConfigError,
     MissionLedger,
     ScenarioConfig,
+    _charging_pairs,
+    _energy,
+    _geometry,
+    _packet_bound,
+    _settle,
+    _standoff_rate,
+    _value_errors,
     endurance,
-    run_mission,
+    run_mission,  # noqa: F401 -- wpcnbench/tracing.py wraps sweep.run_mission
 )
 from wpcnsim.rf_link import fspl_db, received_power
 
@@ -79,9 +93,13 @@ class SweepTable:
 
 def efficiency(ledger: MissionLedger) -> float:
     """Packets delivered per kilojoule of drone energy."""
-    if not ledger.total_uav_energy > 0:
+    return _per_kilojoule(ledger.total_packets, ledger.total_uav_energy)
+
+
+def _per_kilojoule(packets: int, energy: float) -> float:
+    if not energy > 0:
         raise ValueError("ledger has no positive energy spend")
-    return ledger.total_packets / (ledger.total_uav_energy / 1000.0)
+    return packets / (energy / 1000.0)
 
 
 def _cell_config(
@@ -92,17 +110,63 @@ def _cell_config(
     )
 
 
-def _run_cell(config: ScenarioConfig) -> SweepCell:
+def _charging_plan(config: ScenarioConfig):
+    """(geometry violations, charging sensors, rates) of the config's stop plan."""
     try:
-        ledger = run_mission(config)
+        _, field, plan = _geometry(config)
     except ConfigError as err:
-        return SweepCell(0, 0.0, 0.0, False, error=str(err))
-    return SweepCell(
-        total_packets=ledger.total_packets,
-        total_uav_energy=ledger.total_uav_energy,
-        efficiency=efficiency(ledger),
-        feasible=ledger.feasible,
-    )
+        return err.errors, None, None
+    _, sensor, rate = _charging_pairs(config.link, field, plan)
+    return [], sensor, rate
+
+
+def _sweep_case(case, base: ScenarioConfig, stop_counts: tuple, dwells: tuple) -> list:
+    """The cells of one case, in stop count then dwell order.
+
+    Each cell is checked by the rules validate_config states, the geometry
+    only once per stop count; an invalid cell carries run_mission's message.
+    The valid cells' sensors settle together: sensor i of the c-th valid
+    cell has id c * n_sensors + i, so no two cells share an account.
+    """
+    n = base.n_sensors
+    cells, valid, sensors, banked = [], [], [], []
+    best = None
+    for n_stops in stop_counts:
+        pairs = None
+        for dwell in dwells:
+            config = _cell_config(base, *case, n_stops, dwell)
+            errors = _value_errors(config)
+            if not errors:
+                pairs = pairs or _charging_plan(config)
+                errors = pairs[0]
+            if not errors:
+                if best is None:  # every cell has the base's link and standoff
+                    best = _standoff_rate(config)
+                errors = _packet_bound(config, best)
+            if errors:
+                cells.append(SweepCell(0, 0.0, 0.0, False, error=str(ConfigError(errors))))
+                continue
+            _, sensor, rate = pairs
+            sensors.append(sensor + len(valid) * n)
+            banked.append(rate * (config.dwell_time * config.phase_split))
+            valid.append((len(cells), config))
+            cells.append(None)
+    if valid:
+        # accounts only for the sensors that charge, so memory follows the
+        # pairs and not cells x sensors
+        ids, account = np.unique(np.concatenate(sensors), return_inverse=True)
+        _, _, packets, _ = _settle(account, np.concatenate(banked), ids.size, base.costs)
+        totals = np.zeros(len(valid), dtype=np.int64)
+        np.add.at(totals, ids // n, packets)
+        for (index, config), total_packets in zip(valid, totals.tolist()):
+            energy = _energy(config, config.n_stops, total_packets)[-1]
+            cells[index] = SweepCell(
+                total_packets=total_packets,
+                total_uav_energy=energy,
+                efficiency=_per_kilojoule(total_packets, energy),
+                feasible=energy <= config.uav_battery,
+            )
+    return cells
 
 
 def sweep(
@@ -112,35 +176,39 @@ def sweep(
     cases=DEFAULT_CASES,
     workers: int = 1,
 ) -> SweepTable:
-    """Evaluate the full grid; one mission per cell, none dropped.
+    """Evaluate the full grid, every cell as run_mission would, none dropped.
 
-    workers > 1 spreads cells over processes; results are identical to
-    the serial run because cells are independent and order is fixed.
+    Each axis must be non-empty and free of repeats. workers > 1 spreads
+    the cases over processes; results are identical to the serial run
+    because cases are independent and order is fixed.
     """
     stop_counts = tuple(int(k) for k in stop_counts)
     dwells = tuple(float(t) for t in dwells)
     cases = tuple((str(p), str(s)) for p, s in cases)
-    if not stop_counts or not dwells or not cases:
+    axes = {"stop_counts": stop_counts, "dwells": dwells, "cases": cases}
+    if not all(axes.values()):
         raise ValueError("stop_counts, dwells, and cases must be non-empty")
+    for name, axis in axes.items():
+        if len(set(axis)) < len(axis):
+            raise ValueError(f"{name} repeats a value: {axis}")
+    run_case = partial(_sweep_case, base=base, stop_counts=stop_counts, dwells=dwells)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_case, cases))
+    else:
+        results = [run_case(case) for case in cases]
     keys = [
         (placement, layout, n_stops, dwell)
         for placement, layout in cases
         for n_stops in stop_counts
         for dwell in dwells
     ]
-    configs = [_cell_config(base, *key) for key in keys]
-    if workers > 1:
-        chunk = max(1, len(configs) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, configs, chunksize=chunk))
-    else:
-        results = [_run_cell(config) for config in configs]
     return SweepTable(
         base=base,
         cases=cases,
         stop_counts=stop_counts,
         dwells=dwells,
-        cells=dict(zip(keys, results)),
+        cells=dict(zip(keys, (cell for cells in results for cell in cells))),
     )
 
 

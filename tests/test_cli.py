@@ -375,6 +375,22 @@ def test_cli_sweep_bad_axis_flags(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_sweep_rejects_repeated_dwells(capsys, tmp_path):
+    out = tmp_path / "sw"
+    args = ["sweep", "--out", str(out), "--stops-range", "4:6", "--dwells", "20,20.0"]
+    assert main(args) == 2
+    assert "--dwells '20,20.0': each dwell may appear only once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_simulate_invalid_override_exit_code(capsys):
+    assert main(["simulate", "--stops", "-5", "--dwell", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: n_stops must be >= 0, got -5\n"
+        "config error: dwell_time must be > 0, got 0.0\n"
+    )
+
+
 def test_cli_sweep_runs_byte_identical(capsys, tmp_path):
     args = ["--stops-range", "4:6", "--dwells", "20,70"]
     assert main(["sweep", "--out", str(tmp_path / "a"), *args]) == 0

@@ -1,11 +1,16 @@
 """Sweep grids, gain metrics, peak detection, and calibration solvers."""
 
 import dataclasses
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from wpcnsim.mission import MissionLedger, ScenarioConfig, max_stops, run_mission
+from wpcnsim.mission import ConfigError, MissionLedger, ScenarioConfig, max_stops, run_mission
+from wpcnsim.rf_link import EnergyCosts
 from wpcnsim.sweep import (
+    DEFAULT_CASES,
+    SweepCell,
     calibrate_speed,
     calibrate_tx_power,
     clustering_gain,
@@ -79,6 +84,72 @@ def test_sweep_rejects_empty_axes():
         sweep(DEFAULTS, [10], [])
     with pytest.raises(ValueError):
         sweep(DEFAULTS, [10], [20.0], [])
+
+
+def test_sweep_rejects_repeated_axis_values():
+    with pytest.raises(ValueError, match="stop_counts repeats"):
+        sweep(DEFAULTS, [4, 5, 4], [20.0])
+    with pytest.raises(ValueError, match="dwells repeats"):
+        sweep(DEFAULTS, [4], [20, 20.0])
+    with pytest.raises(ValueError, match="cases repeats"):
+        sweep(DEFAULTS, [4], [20.0], [("p1", "s1"), ("p1", "s1")])
+
+
+def _random_grid(rng):
+    """A base config that is valid on single values, and axes to sweep it over.
+
+    Odd sensor counts fail the paired cells, a p2 phase past the perimeter
+    fails every cell of its base, a dwell of -1 fails its cells, and few
+    sensors under many stops or a strong transmitter charge a sensor at
+    several stops, so its account settles over more than one round.
+    """
+    link = dataclasses.replace(DEFAULTS.link, tx_power=float(rng.choice([2.404, 30.0])))
+    perimeter = float(rng.uniform(60.0, 500.0))
+    base = dataclasses.replace(
+        DEFAULTS,
+        link=link,
+        n_sensors=2 * int(rng.integers(1, 21)) - int(rng.random() < 0.25),
+        path_perimeter=perimeter,
+        aspect_ratio=float(rng.uniform(1.0, 4.0)),
+        standoff=float(rng.uniform(0.3, 1.2)),
+        cluster_spacing=float(rng.uniform(0.05, 1.0)),
+        p2_phase=float(rng.uniform(0.0, 1.15)) * perimeter,
+        wpt_draw_mode=str(rng.choice(["included", "additional"])),
+        uav_battery=float(rng.uniform(5e4, 3e5)),
+    )
+    stop_counts = sorted(rng.choice(np.arange(-1, 101), size=6, replace=False).tolist())
+    dwells = [20.0, float(rng.uniform(1.0, 90.0)), float(rng.choice([-1.0, 70.0]))]
+    return base, stop_counts, dwells
+
+
+def test_batched_sweep_matches_run_mission_cell_for_cell():
+    rng = np.random.default_rng(20261018)
+    grids = [_random_grid(rng) for _ in range(10)]
+    # packets this small pass the 2**53 bound on short tours only
+    tiny_packets = dataclasses.replace(DEFAULTS, costs=EnergyCosts(1e-13, 0.0, 0.01))
+    grids.append((tiny_packets, [4, 50, 100], [20.0, 70.0]))
+    most_visits, errors, valid = 0, Counter(), 0
+    for base, stop_counts, dwells in grids:
+        table = sweep(base, stop_counts, dwells, DEFAULT_CASES)
+        for (placement, layout, n_stops, dwell), cell in table.cells.items():
+            config = dataclasses.replace(
+                base, placement=placement, layout=layout, n_stops=n_stops, dwell_time=dwell
+            )
+            try:
+                ledger = run_mission(config)
+            except ConfigError as err:
+                assert cell == SweepCell(0, 0.0, 0.0, False, error=str(err))
+                errors[err.errors[0].split(" ")[0]] += 1
+                continue
+            assert cell == SweepCell(
+                ledger.total_packets, ledger.total_uav_energy, efficiency(ledger), ledger.feasible
+            )
+            valid += 1
+            visits = Counter(i for stop in ledger.per_stop for i in stop.charged)
+            most_visits = max(most_visits, *visits.values(), 0)
+    # value, parity, geometry and packet-bound errors all occur
+    assert {"dwell_time", "paired", "p2_phase:", "a"} <= set(errors) and valid
+    assert most_visits > 1
 
 
 def test_sweep_flags_bad_cells_instead_of_dropping():
