@@ -261,6 +261,19 @@ def test_cli_simulate_reference_mission(capsys, tmp_path):
     assert manifest["artifacts"] == ["summary.json"]
 
 
+def test_cli_simulate_artifacts_match_golden_digests(capsys, tmp_path):
+    assert main(["simulate", "--stops", "80", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = [
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("summary.json", "manifest.json")
+    ]
+    assert digests == [
+        "d87bb4e247fcba8d15c7db70671a316a1c69be957f07cff09c5598c1039847a2",
+        "972d10448c3d50be704b42cb32de786f03a125f938dcc6228475e2b799c6455d",
+    ]
+
+
 def test_cli_simulate_case_override(capsys):
     code = main(["simulate", "--case", "p2s2", "--stops", "50"])
     assert code == 0
