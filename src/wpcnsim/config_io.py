@@ -165,40 +165,50 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+# summary.json as json.dumps(..., indent=2, sort_keys=True) lays it out: keys
+# sorted, and numbers by repr, as json renders int and float
+_SUMMARY = (
+    '{\n  "efficiency_pkt_per_kj": %r,\n  "feasible": %s,\n  "flight_energy_j": %r,\n'
+    '  "hover_energy_j": %r,\n  "mission_time_s": %r,\n  "per_sensor": %s,\n  "per_stop": %s,\n'
+    '  "rx_energy_j": %r,\n  "total_packets": %r,\n  "total_uav_energy_j": %r,\n'
+    '  "wpt_energy_j": %r\n}\n'
+)
+_SENSOR = (
+    '{\n      "harvested_j": %r,\n      "packets": %r,\n      "residual_j": %r,\n'
+    '      "sensor_id": %r,\n      "spent_j": %r\n    }'
+)
+_STOP = (
+    '{\n      "charged": %s,\n      "delivered_j": %s,\n      "packets": %r,\n'
+    '      "stop_id": %r\n    }'
+)
+
+
+def _array(items, indent: str = "    ") -> str:
+    """A json array of rendered items, one per line at indent."""
+    body = (",\n" + indent).join(items)
+    return f"[\n{indent}{body}\n{indent[:-2]}]" if body else "[]"
+
+
 def write_mission_summary(ledger: MissionLedger, out_dir) -> Path:
     """Full ledger with derived efficiency as summary.json."""
-    obj = {
-        "total_packets": ledger.total_packets,
-        "total_uav_energy_j": ledger.total_uav_energy,
-        "flight_energy_j": ledger.flight_energy,
-        "hover_energy_j": ledger.hover_energy,
-        "wpt_energy_j": ledger.wpt_energy,
-        "rx_energy_j": ledger.rx_energy,
-        "efficiency_pkt_per_kj": efficiency(ledger),
-        "feasible": ledger.feasible,
-        "mission_time_s": ledger.mission_time,
-        "per_stop": [
-            {
-                "stop_id": rec.stop_id,
-                "charged": list(rec.charged),
-                "delivered_j": list(rec.delivered),
-                "packets": rec.packets,
-            }
-            for rec in ledger.per_stop
-        ],
-        "per_sensor": [
-            {
-                "sensor_id": rec.sensor_id,
-                "harvested_j": rec.harvested,
-                "spent_j": rec.spent,
-                "residual_j": rec.residual,
-                "packets": rec.packets,
-            }
-            for rec in ledger.per_sensor
-        ],
-    }
+    sensors = [
+        _SENSOR % (rec.harvested, rec.packets, rec.residual, rec.sensor_id, rec.spent)
+        for rec in ledger.per_sensor
+    ]
+    item = " " * 8
+    stops = [
+        _STOP % (_array(map(repr, rec.charged), item), _array(map(repr, rec.delivered), item),
+                 rec.packets, rec.stop_id)
+        for rec in ledger.per_stop
+    ]
+    text = _SUMMARY % (
+        efficiency(ledger), "true" if ledger.feasible else "false", ledger.flight_energy,
+        ledger.hover_energy, ledger.mission_time, _array(sensors), _array(stops),
+        ledger.rx_energy, ledger.total_packets, ledger.total_uav_energy, ledger.wpt_energy,
+    )
     path = Path(out_dir) / "summary.json"
-    _write_json(path, obj)
+    # repr spells non-finite floats inf, -inf and nan, words that no key holds
+    _write_text(path, text.replace("inf", "Infinity").replace("nan", "NaN"))
     return path
 
 

@@ -246,6 +246,17 @@ def _value_errors(config: ScenarioConfig) -> list:
     unit = config.costs.packet_unit
     if unit <= 0.0:
         errors.append(f"e_measurement + e_tx_packet must be > 0, got {unit}")
+    if not errors:
+        # finite values can still combine beyond float range: the packet
+        # unit, and one loop's flight energy, which efficiency divides by
+        if unit == math.inf:
+            errors.append(f"e_measurement + e_tx_packet must be finite, got {unit}")
+        loop = config.path_perimeter / config.cruise_speed
+        if config.path_perimeter > 0.0 and loop * config.uav_flight_power == 0.0:
+            errors.append(
+                f"uav_flight_power: {config.uav_flight_power} W over one {loop} s loop "
+                "underflows to 0 J"
+            )
     return errors
 
 

@@ -1,13 +1,20 @@
-"""Scalar reference tour: the slow oracle that simulate_tour must match.
+"""Slow oracles: the scalar tour for simulate_tour, json's text for summary.json.
 
-It walks the stops in tour order, each sensor in turn and each packet one
-at a time, with the link budget written out in plain `math`. It takes the
-package's SensorField and StopPlan as given and shares none of the
-vectorized kernel, so a packet count on which both agree is checked by two
-independent codes.
+The reference tour walks the stops in tour order, each sensor in turn and
+each packet one at a time, with the link budget written out in plain
+`math`. It takes the package's SensorField and StopPlan as given and shares
+none of the vectorized kernel, so a packet count on which both agree is
+checked by two independent codes.
+
+The reference summary builds the ledger's dict and hands it to json's
+encoder, which write_mission_summary's templates must reproduce byte for
+byte.
 """
 
+import json
 import math
+
+from wpcnsim.sweep import efficiency
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -78,3 +85,38 @@ def reference_tour(config, field, plan):
     for account in sensors:
         account["residual"] = account["harvested"] - account["spent"]
     return stops, sensors
+
+
+def reference_summary_text(ledger):
+    """summary.json's text for ledger, as json.dumps lays out its dict."""
+    obj = {
+        "total_packets": ledger.total_packets,
+        "total_uav_energy_j": ledger.total_uav_energy,
+        "flight_energy_j": ledger.flight_energy,
+        "hover_energy_j": ledger.hover_energy,
+        "wpt_energy_j": ledger.wpt_energy,
+        "rx_energy_j": ledger.rx_energy,
+        "efficiency_pkt_per_kj": efficiency(ledger),
+        "feasible": ledger.feasible,
+        "mission_time_s": ledger.mission_time,
+        "per_stop": [
+            {
+                "stop_id": rec.stop_id,
+                "charged": list(rec.charged),
+                "delivered_j": list(rec.delivered),
+                "packets": rec.packets,
+            }
+            for rec in ledger.per_stop
+        ],
+        "per_sensor": [
+            {
+                "sensor_id": rec.sensor_id,
+                "harvested_j": rec.harvested,
+                "spent_j": rec.spent,
+                "residual_j": rec.residual,
+                "packets": rec.packets,
+            }
+            for rec in ledger.per_sensor
+        ],
+    }
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

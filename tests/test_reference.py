@@ -1,14 +1,26 @@
-"""simulate_tour against the scalar reference tour on random small missions."""
+"""simulate_tour and summary.json against the slow oracles on random small missions."""
 
 import dataclasses
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from reference import link_geometry, reference_tour
-from wpcnsim.mission import ScenarioConfig, _flight_path, _geometry, simulate_tour, validate_config
+from reference import link_geometry, reference_summary_text, reference_tour
+from wpcnsim.config_io import write_mission_summary
+from wpcnsim.mission import (
+    MissionLedger,
+    ScenarioConfig,
+    SensorRecord,
+    StopRecord,
+    _flight_path,
+    _geometry,
+    run_mission,
+    simulate_tour,
+    validate_config,
+)
 from wpcnsim.rf_link import EnergyCosts, LinkParams, max_boresight_harvest_range
 
 N_CONFIGS = 300
@@ -108,6 +120,63 @@ def test_simulate_tour_matches_reference():
     assert any(c.standoff > 0.98 * _rho_min(c.aspect_ratio, c.path_perimeter) for c in configs)
     assert delivering >= len(configs) / 4
     assert elapsed < 5.0
+
+
+def _assert_summary_matches_reference(ledger, out_dir):
+    written = write_mission_summary(ledger, out_dir).read_bytes()
+    assert written == reference_summary_text(ledger).encode("utf-8")
+
+
+def test_mission_summary_matches_json_reference(tmp_path):
+    configs = _accepted_configs(77, 120)
+    multi_visit = 0
+    for config in configs:
+        ledger = run_mission(config)
+        _assert_summary_matches_reference(ledger, tmp_path)
+        visits = Counter(i for rec in ledger.per_stop for i in rec.charged)
+        multi_visit += max(visits.values(), default=0) > 1
+    assert {c.layout for c in configs} == {"s1", "s2"}
+    assert {c.placement for c in configs} == {"p1", "p2"}
+    assert multi_visit >= 10
+
+
+_LEDGER = dict(
+    total_uav_energy=2.5,
+    flight_energy=2.5,
+    hover_energy=0.0,
+    wpt_energy=0.0,
+    rx_energy=0.0,
+    per_stop=(),
+    per_sensor=(),
+    total_packets=0,
+    feasible=True,
+    mission_time=80.0,
+)
+_REFERENCE = ScenarioConfig()
+# ledgers whose summaries hold empty arrays or non-finite numbers
+SUMMARY_EDGES = {
+    "no-stops": lambda: run_mission(dataclasses.replace(_REFERENCE, n_stops=0)),
+    "stops-charge-nobody": lambda: run_mission(
+        dataclasses.replace(
+            _REFERENCE, link=dataclasses.replace(_REFERENCE.link, harvest_threshold=10.0)
+        )
+    ),
+    "one-sensor": lambda: run_mission(dataclasses.replace(_REFERENCE, n_sensors=1)),
+    "inf-energies": lambda: run_mission(dataclasses.replace(_REFERENCE, cruise_speed=1e-305)),
+    "no-records": lambda: MissionLedger(**_LEDGER),
+    "non-finite-records": lambda: MissionLedger(
+        **dict(
+            _LEDGER,
+            per_stop=(StopRecord(0, (), (), 0), StopRecord(1, (0,), (math.inf,), 0)),
+            per_sensor=(SensorRecord(0, math.inf, -math.inf, math.nan, 0),),
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("build", SUMMARY_EDGES.values(), ids=SUMMARY_EDGES.keys())
+def test_mission_summary_edges_match_json_reference(build, tmp_path):
+    _assert_summary_matches_reference(build(), tmp_path)
 
 
 SMALL = dataclasses.replace(ScenarioConfig(), n_sensors=40, n_stops=60)

@@ -45,6 +45,14 @@ CRASH_CONFIGS = {
     "zero-packet-cost": {"e_measurement": 0.0, "e_tx_packet": 0.0},
     "tiny-packet-cost": {"e_measurement": 1e-300, "e_tx_packet": 0.0},
     "tiny-standoff": {"standoff": 1e-300},
+    # finite prices and speeds whose sum or product leaves float range
+    "packet-unit-overflow": {"e_measurement": 1e308, "e_tx_packet": 1e308},
+    "packet-unit-overflow-tx-power": {
+        "e_measurement": 1e308,
+        "e_tx_packet": 1e308,
+        "tx_power": 1e300,
+    },
+    "flight-energy-underflow": {"cruise_speed": 1e300, "uav_flight_power": 1e-300},
 }
 # the perimeter bisection never ended on these, or sized a path that
 # integrates to 0 or inf
@@ -137,6 +145,15 @@ def test_packet_cost_rules():
     small = _override(DEFAULTS, e_measurement=1e-12, e_tx_packet=0.0)
     assert validate_config(small) == []
     assert run_mission(small).total_packets > 0
+    huge = _override(DEFAULTS, e_measurement=1e308, e_tx_packet=1e308)
+    assert validate_config(huge) == ["e_measurement + e_tx_packet must be finite, got inf"]
+
+
+def test_flight_energy_underflow_leads_with_the_flight_power():
+    config = dataclasses.replace(DEFAULTS, cruise_speed=1e300, uav_flight_power=1e-300)
+    (message,) = validate_config(config)
+    assert message.startswith("uav_flight_power: 1e-300 W over one ")
+    assert message.endswith(" s loop underflows to 0 J")
 
 
 # --- property: acceptance and execution agree near every bound ---
