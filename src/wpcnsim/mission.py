@@ -213,7 +213,7 @@ def _geometry(config: ScenarioConfig):
 
 
 def _value_errors(config: ScenarioConfig) -> list:
-    """Violations of the rules on single values: tokens, counts, signs, finite numbers."""
+    """Violations of the rules on values: tokens, counts, signs, finite numbers and sums."""
     errors = [
         f"{key} must be finite, got {value}"
         for _, key, value in _leaves(config)
@@ -248,14 +248,14 @@ def _value_errors(config: ScenarioConfig) -> list:
         errors.append(f"e_measurement + e_tx_packet must be > 0, got {unit}")
     if not errors:
         # finite values can still combine beyond float range: the packet
-        # unit, and one loop's flight energy, which efficiency divides by
+        # unit, and the energy of a mission without stops, which efficiency
+        # divides by and no mission undercuts
         if unit == math.inf:
             errors.append(f"e_measurement + e_tx_packet must be finite, got {unit}")
-        loop = config.path_perimeter / config.cruise_speed
-        if config.path_perimeter > 0.0 and loop * config.uav_flight_power == 0.0:
+        if config.path_perimeter > 0.0 and _energy(config, 0, 0)[-1] == 0.0:
             errors.append(
-                f"uav_flight_power: {config.uav_flight_power} W over one {loop} s loop "
-                "underflows to 0 J"
+                f"uav_flight_power: {config.uav_flight_power} W over one loop of "
+                f"{config.path_perimeter} m at {config.cruise_speed} m/s underflows to 0 J"
             )
     return errors
 

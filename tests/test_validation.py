@@ -152,8 +152,9 @@ def test_packet_cost_rules():
 def test_flight_energy_underflow_leads_with_the_flight_power():
     config = dataclasses.replace(DEFAULTS, cruise_speed=1e300, uav_flight_power=1e-300)
     (message,) = validate_config(config)
-    assert message.startswith("uav_flight_power: 1e-300 W over one ")
-    assert message.endswith(" s loop underflows to 0 J")
+    assert message == (
+        "uav_flight_power: 1e-300 W over one loop of 500.0 m at 1e+300 m/s underflows to 0 J"
+    )
 
 
 # --- property: acceptance and execution agree near every bound ---
