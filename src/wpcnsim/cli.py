@@ -240,7 +240,7 @@ def _cmd_calibrate(args) -> int:
             speed = calibrate_speed(args.stops, dwell, config)
             print(f"cruise_speed = {speed:.9g} m/s")
             solved = True
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         print(f"calibrate: {err}", file=sys.stderr)
         return EXIT_CONFIG
     if not solved:

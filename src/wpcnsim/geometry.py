@@ -8,9 +8,8 @@ counterclockwise from the +x vertex in meters; parameters are the usual
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +22,14 @@ _TWO_PI = 2.0 * math.pi
 # any valid aspect ratio, so arc inversions never re-integrate from zero.
 _PANELS = 2048
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# The node grid is the same for every ellipse, so only its sin and cos and
+# the panel half-width are kept, and every table is built from them.
+_edges = np.linspace(0.0, _TWO_PI, _PANELS + 1)
+_HALF = (_edges[1] - _edges[0]) / 2.0
+_nodes = 0.5 * (_edges[:-1] + _edges[1:])[:, None] + _HALF * _GL_NODES[None, :]
+_SIN, _COS = np.sin(_nodes), np.cos(_nodes)
+_SIN.flags.writeable = _COS.flags.writeable = False
+del _edges, _nodes
 # relative tolerance of a sized perimeter; the realized default path
 # (499.99999998544746 m for 500 m) depends on it
 _REL_TOL = 1e-9
@@ -30,11 +37,12 @@ _REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EllipseSpec:
-    """Axis-aligned ellipse with its perimeter cached at construction."""
+    """Axis-aligned ellipse; its arc table is built at construction, not compared."""
 
     semi_major: float
     semi_minor: float
     perimeter: float
+    arc_table: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.semi_major >= self.semi_minor > 0.0):
@@ -44,15 +52,11 @@ class EllipseSpec:
             )
         if not self.perimeter > 0.0:
             raise ValueError(f"perimeter must be positive, got {self.perimeter}")
+        object.__setattr__(self, "arc_table", _arc_table(self.semi_major, self.semi_minor))
 
     @classmethod
     def from_axes(cls, semi_major: float, semi_minor: float) -> "EllipseSpec":
         """Build a spec with the perimeter integrated from the axes."""
-        if not (semi_major >= semi_minor > 0.0):
-            raise ValueError(
-                "ellipse axes must satisfy semi_major >= semi_minor > 0, "
-                f"got ({semi_major}, {semi_minor})"
-            )
         total = float(_arc_table(float(semi_major), float(semi_minor))[-1])
         return cls(float(semi_major), float(semi_minor), total)
 
@@ -62,16 +66,9 @@ def _speed(a: float, b: float, t: np.ndarray) -> np.ndarray:
     return np.sqrt((a * np.sin(t)) ** 2 + (b * np.cos(t)) ** 2)
 
 
-# two tables per sized path (its unit shape and itself): the bound keeps a
-# process that sizes many distinct paths from holding 33 KB for each
-@functools.lru_cache(maxsize=64)
 def _arc_table(a: float, b: float) -> np.ndarray:
     """Cumulative arc length at the _PANELS + 1 parameter knots."""
-    edges = np.linspace(0.0, _TWO_PI, _PANELS + 1)
-    half = (edges[1] - edges[0]) / 2.0
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = mids[:, None] + half * _GL_NODES[None, :]
-    panels = half * (_speed(a, b, nodes) * _GL_WEIGHTS).sum(axis=1)
+    panels = _HALF * (np.sqrt((a * _SIN) ** 2 + (b * _COS) ** 2) * _GL_WEIGHTS).sum(axis=1)
     cum = np.concatenate(([0.0], np.cumsum(panels)))
     cum.flags.writeable = False
     return cum
@@ -80,7 +77,7 @@ def _arc_table(a: float, b: float) -> np.ndarray:
 def _arc_from_zero(ellipse: EllipseSpec, t: np.ndarray) -> np.ndarray:
     """Arc length from parameter 0 to t, for t in [0, 2*pi], array-friendly."""
     a, b = ellipse.semi_major, ellipse.semi_minor
-    cum = _arc_table(a, b)
+    cum = ellipse.arc_table
     t = np.clip(np.asarray(t, dtype=float), 0.0, _TWO_PI)
     h = _TWO_PI / _PANELS
     idx = np.minimum((t / h).astype(int), _PANELS - 1)
@@ -140,13 +137,13 @@ def ellipse_from_perimeter(aspect_ratio: float, target_perimeter: float) -> Elli
 def _params_at_arcs(ellipse: EllipseSpec, arcs: np.ndarray) -> np.ndarray:
     """Invert arc coordinates in [0, perimeter] to parameters (vectorized).
 
-    The cached arc table brackets each arc in its panel, a linear seed
+    The ellipse's arc table brackets each arc in its panel, a linear seed
     inside the panel is within about 1e-4 rad for aspect ratios up to
     100, and Newton steps on _arc_from_zero(t) = s, whose derivative is
     _speed(t), square that error each time: three reach float spacing.
     """
     a, b = ellipse.semi_major, ellipse.semi_minor
-    cum = _arc_table(a, b)
+    cum = ellipse.arc_table
     arcs = np.asarray(arcs, dtype=float)
     idx = np.clip(np.searchsorted(cum, arcs, side="right") - 1, 0, _PANELS - 1)
     t = (idx + (arcs - cum[idx]) / (cum[idx + 1] - cum[idx])) * (_TWO_PI / _PANELS)

@@ -335,6 +335,16 @@ def test_cli_calibrate_impossible_request(capsys):
     assert "endurance" in capsys.readouterr().err
 
 
+def test_cli_calibrate_stops_beyond_float_range(capsys):
+    assert main(["calibrate", "--stops", "1" + "0" * 400]) == 2
+    assert capsys.readouterr().err.startswith("calibrate: ")
+
+
+def test_cli_calibrate_packets_beyond_float_range(capsys):
+    assert main(["calibrate", "--packets", "1" + "0" * 400]) == 2
+    assert capsys.readouterr().err.startswith("calibrate: ")
+
+
 def test_cli_sweep_writes_three_artifacts(capsys, tmp_path):
     out = tmp_path / "sw"
     code = main(

@@ -1,6 +1,8 @@
 """Geometry contracts: quadrature accuracy, arc inversion, local frames."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +11,11 @@ from scipy import integrate
 from wpcnsim.geometry import (
     _arc_from_zero,
     _arc_table,
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _PANELS,
     _params_at_arcs,
+    _speed,
     EllipseSpec,
     ellipse_from_perimeter,
     equidistant_arcs,
@@ -66,12 +72,52 @@ def test_from_perimeter_rejects_bad_arguments():
         EllipseSpec.from_axes(1.0, 2.0)
 
 
-def test_arc_table_cache_is_bounded():
-    bound = _arc_table.cache_info().maxsize
-    assert bound == 64
-    for i in range(bound):
-        ellipse_from_perimeter(2.0 + i / bound, 321.0)
-    assert _arc_table.cache_info().currsize == bound
+def grid_arc_table(a, b):
+    """Oracle: the arc table integrated on a node grid built per call."""
+    edges = np.linspace(0.0, 2.0 * math.pi, _PANELS + 1)
+    half = (edges[1] - edges[0]) / 2.0
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    nodes = mids[:, None] + half * _GL_NODES[None, :]
+    panels = half * (_speed(a, b, nodes) * _GL_WEIGHTS).sum(axis=1)
+    return np.concatenate(([0.0], np.cumsum(panels)))
+
+
+def test_arc_table_matches_the_per_call_grid_bit_for_bit():
+    rng = np.random.default_rng(29)
+    axes = [(float(A), 1.0) for A in rng.uniform(1.0, 100.0, size=100)]
+    axes += [(1.0, 1.0), (100.0, 1.0), (1.0 + 1e-7, 1.0)]
+    for A, P in zip(rng.uniform(1.0, 100.0, size=100), 10.0 ** rng.uniform(0.0, 5.0, size=100)):
+        path = ellipse_from_perimeter(float(A), float(P))
+        axes.append((path.semi_major, path.semi_minor))
+    path = ellipse_from_perimeter(1.0 + 1e-7, 500.0)
+    axes.append((path.semi_major, path.semi_minor))
+    assert len(axes) >= 200
+    for a, b in axes:
+        assert np.array_equal(_arc_table(a, b), grid_arc_table(a, b)), (a, b)
+
+
+def test_spec_carries_its_own_read_only_arc_table():
+    path = ellipse_from_perimeter(3.0, 250.0)
+    assert not path.arc_table.flags.writeable
+    with pytest.raises(ValueError):
+        path.arc_table[0] = 1.0
+    assert np.array_equal(path.arc_table, _arc_table(path.semi_major, path.semi_minor))
+    assert path.arc_table[-1] == path.perimeter
+
+    twin = EllipseSpec(path.semi_major, path.semi_minor, path.perimeter)
+    assert twin == path and hash(twin) == hash(path)
+    assert repr(path) == (
+        f"EllipseSpec(semi_major={path.semi_major!r}, "
+        f"semi_minor={path.semi_minor!r}, perimeter={path.perimeter!r})"
+    )
+
+    wider = dataclasses.replace(path, semi_major=2.0 * path.semi_major)
+    assert np.array_equal(wider.arc_table, _arc_table(wider.semi_major, wider.semi_minor))
+    assert wider.arc_table[-1] > path.arc_table[-1]
+
+    back = pickle.loads(pickle.dumps(path))
+    assert back == path
+    assert np.array_equal(back.arc_table, path.arc_table)
 
 
 # ------------------------------------------------------------ arc length
@@ -154,7 +200,7 @@ def bisect_params(ellipse, arcs):
 @pytest.mark.parametrize("aspect_ratio", [1.0, 1.0 + 1e-7, 5.0, 100.0])
 def test_inversion_matches_bisection(aspect_ratio):
     ellipse = ellipse_from_perimeter(aspect_ratio, 500.0)
-    knots = _arc_table(ellipse.semi_major, ellipse.semi_minor)[:-1]
+    knots = ellipse.arc_table[:-1]
     rng = np.random.default_rng(23)
     arcs = np.concatenate(
         [
