@@ -229,23 +229,25 @@ def _cmd_endurance(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = _resolve_config(args)
-    solved = False
+    # solve every requested flag before printing, so a failure prints nothing
+    lines = []
     try:
         if args.packets is not None:
+            flag = "--packets"
             tx_power = calibrate_tx_power(args.packets, config)
-            print(f"tx_power = {tx_power:.9g} W")
-            solved = True
+            lines.append(f"tx_power = {tx_power:.9g} W")
         if args.stops is not None:
+            flag = "--stops"
             dwell = args.dwell if args.dwell is not None else config.dwell_time
             speed = calibrate_speed(args.stops, dwell, config)
-            print(f"cruise_speed = {speed:.9g} m/s")
-            solved = True
+            lines.append(f"cruise_speed = {speed:.9g} m/s")
     except (ValueError, OverflowError) as err:
-        print(f"calibrate: {err}", file=sys.stderr)
+        print(f"calibrate: {flag}: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    if not solved:
+    if not lines:
         print("calibrate: pass --packets N and/or --stops N [--dwell S]", file=sys.stderr)
         return EXIT_CONFIG
+    print("\n".join(lines))
     return EXIT_OK
 
 

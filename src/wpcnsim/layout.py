@@ -68,7 +68,7 @@ class StopPlan:
     """Hover stops on the flight path, in travel (ascending arc) order.
 
     Geometry only: how long the drone hovers is the mission's dwell_time,
-    so one cached plan serves every dwell of a sweep.
+    so one plan serves every dwell of its stop count.
     """
 
     arc_coords: np.ndarray
@@ -160,9 +160,47 @@ def _target_arcs(field: SensorField, perimeter: float) -> np.ndarray:
     return np.sort(arcs)
 
 
+def _plans_at_arcs(path: EllipseSpec, arc_sets) -> list:
+    """One StopPlan per arc set, or the ValueError that building it raised.
+
+    The union of the sets is inverted once: poses_at_arcs works arc by
+    arc, so every plan gets the positions its own inversion would give.
+    """
+    union, inverse = np.unique(np.concatenate(arc_sets), return_inverse=True)
+    positions = poses_at_arcs(path, union)[0][inverse]
+    plans, start = [], 0
+    for arcs in arc_sets:
+        end = start + arcs.shape[0]
+        try:
+            plans.append(StopPlan(arcs, positions[start:end]))
+        except ValueError as err:
+            plans.append(err)
+        start = end
+    return plans
+
+
 def _plan_at_arcs(path: EllipseSpec, arcs: np.ndarray) -> StopPlan:
-    positions, _, _ = poses_at_arcs(path, arcs)
-    return StopPlan(arcs, positions)
+    (plan,) = _plans_at_arcs(path, [arcs])
+    if isinstance(plan, ValueError):
+        raise plan
+    return plan
+
+
+def _facing_arcs(path: EllipseSpec, field: SensorField, n_stops: int) -> np.ndarray:
+    """The sorted stop arcs of place_stops_facing, for n_stops >= 1."""
+    targets = _target_arcs(field, path.perimeter)
+    m = targets.shape[0]
+    if n_stops <= m:
+        return targets[(np.arange(n_stops) * m) // n_stops]
+    surplus = n_stops - m
+    extras = np.full(m, surplus // m)
+    extras[: surplus % m] += 1
+    gaps = np.diff(np.append(targets, targets[0] + path.perimeter))
+    # extra j of group i sits j / (extras[i] + 1) of the way along gap i
+    group = np.repeat(np.arange(m), extras)
+    j = np.arange(1, surplus + 1) - np.repeat(np.cumsum(extras) - extras, extras)
+    between = targets[group] + gaps[group] * j / (extras[group] + 1)
+    return np.sort(np.concatenate([targets, between]) % path.perimeter)
 
 
 @lru_cache(maxsize=256)
@@ -177,23 +215,7 @@ def place_stops_facing(path: EllipseSpec, field: SensorField, n_stops: int) -> S
     """
     if n_stops < 0:
         raise ValueError(f"n_stops must be >= 0, got {n_stops}")
-    if n_stops == 0:
-        return _plan_at_arcs(path, np.empty(0))
-    targets = _target_arcs(field, path.perimeter)
-    m = targets.shape[0]
-    if n_stops <= m:
-        arcs = targets[(np.arange(n_stops) * m) // n_stops]
-    else:
-        surplus = n_stops - m
-        extras = np.full(m, surplus // m)
-        extras[: surplus % m] += 1
-        gaps = np.diff(np.append(targets, targets[0] + path.perimeter))
-        parts = [targets]
-        for i in range(m):
-            if extras[i]:
-                j = np.arange(1, extras[i] + 1)
-                parts.append(targets[i] + gaps[i] * j / (extras[i] + 1))
-        arcs = np.sort(np.concatenate(parts) % path.perimeter)
+    arcs = _facing_arcs(path, field, n_stops) if n_stops else np.empty(0)
     return _plan_at_arcs(path, arcs)
 
 
@@ -202,6 +224,5 @@ def place_stops_equal_arcs(path: EllipseSpec, n_stops: int, phase: float = 0.0) 
     """Stops at equal arc spacing around the path, offset by phase meters."""
     if n_stops < 0:
         raise ValueError(f"n_stops must be >= 0, got {n_stops}")
-    if n_stops == 0:
-        return _plan_at_arcs(path, np.empty(0))
-    return _plan_at_arcs(path, equidistant_arcs(path, n_stops, phase))
+    arcs = equidistant_arcs(path, n_stops, phase) if n_stops else np.empty(0)
+    return _plan_at_arcs(path, arcs)

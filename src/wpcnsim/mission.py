@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -148,23 +149,32 @@ def _flight_path(aspect_ratio: float, perimeter: float) -> EllipseSpec:
     return ellipse_from_perimeter(aspect_ratio, perimeter)
 
 
-def _leaves(config: ScenarioConfig):
-    """(owner, key, value) per config-file key; owner is "link", "costs" or ""."""
+def _leaf_keys(config: ScenarioConfig):
+    """(owner, key) per config-file key; owner is "link", "costs" or ""."""
     for field in fields(config):
         value = getattr(config, field.name)
         if is_dataclass(value):
             for sub in fields(value):
-                yield field.name, sub.name, getattr(value, sub.name)
+                yield field.name, sub.name
         else:
-            yield "", field.name, value
+            yield "", field.name
 
 
-def _geometry(config: ScenarioConfig):
-    """The flight path, sensor field and stop plan that the mission flies.
+# the layout is the dataclasses' own, worked out once
+_LEAF_KEYS = tuple(_leaf_keys(ScenarioConfig()))
+_leaf_values = attrgetter(*(f"{owner}.{key}" if owner else key for owner, key in _LEAF_KEYS))
 
-    Each stage runs once its inputs are built and its ValueError becomes one
-    violation, led by the config key it names. The p2 phase is checked under
-    every placement, because a sweep turns p1 bases into p2 cells.
+
+def _leaves(config: ScenarioConfig):
+    """(owner, key, value) per config-file key; owner is "link", "costs" or ""."""
+    return [(owner, key, value) for (owner, key), value in zip(_LEAF_KEYS, _leaf_values(config))]
+
+
+def _stages(config: ScenarioConfig):
+    """(violations, path, field, plan): _geometry's stages, without raising.
+
+    A stage whose inputs failed is skipped and left None. At 0 stops the
+    plan stage cannot fail, so a None plan there means an input failed.
     """
     errors = []
 
@@ -207,6 +217,17 @@ def _geometry(config: ScenarioConfig):
         plan = attempt(
             {"n_stops": "n_stops"}, place_stops_equal_arcs, path, config.n_stops, config.p2_phase
         )
+    return errors, path, field, plan
+
+
+def _geometry(config: ScenarioConfig):
+    """The flight path, sensor field and stop plan that the mission flies.
+
+    Each stage runs once its inputs are built and its ValueError becomes one
+    violation, led by the config key it names. The p2 phase is checked under
+    every placement, because a sweep turns p1 bases into p2 cells.
+    """
+    errors, path, field, plan = _stages(config)
     if errors:
         raise ConfigError(errors)
     return path, field, plan
@@ -298,10 +319,7 @@ def validate_config(config: ScenarioConfig) -> list:
     """
     errors = _value_errors(config)
     if not errors:
-        try:
-            _geometry(config)
-        except ConfigError as err:
-            errors.extend(err.errors)
+        errors.extend(_stages(config)[0])
     if not errors:
         errors.extend(_packet_bound(config, _standoff_rate(config)))
     return errors
@@ -338,8 +356,10 @@ def run_mission(config: ScenarioConfig) -> MissionLedger:
     return simulate_tour(config, *_geometry(config))
 
 
-def _charging_pairs(link: LinkParams, field: SensorField, plan: StopPlan):
+def _charging_pairs(link: LinkParams, field: SensorField, stops: np.ndarray):
     """(stop, sensor, rate) of every pair that charges, by stop then sensor id.
+
+    stops is a (k, 2) array of stop positions; stop j is its row j.
 
     Only sensors within the boresight harvest reach of a stop can charge
     there, so each stop's candidates are the window |dx| <= reach on the
@@ -347,7 +367,7 @@ def _charging_pairs(link: LinkParams, field: SensorField, plan: StopPlan):
     """
     order = np.argsort(field.positions[:, 0], kind="stable")
     xs = field.positions[order, 0]
-    stop_xs = plan.positions[:, 0]
+    stop_xs = stops[:, 0]
     span = max(np.abs(xs).max(initial=0.0), np.abs(stop_xs).max(initial=0.0))
     # the threshold test runs on a budget rounded by a few ulps of its dB
     # terms, which moves the distance where it passes by far less than the
@@ -356,11 +376,11 @@ def _charging_pairs(link: LinkParams, field: SensorField, plan: StopPlan):
     reach = max_boresight_harvest_range(link) * (1.0 + 1e-6) + 4.0 * np.spacing(span)
     lo = np.searchsorted(xs, stop_xs - reach, side="left")
     counts = np.searchsorted(xs, stop_xs + reach, side="right") - lo
-    stop = np.repeat(np.arange(plan.n_stops), counts)
+    stop = np.repeat(np.arange(stops.shape[0]), counts)
     first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
     sensor = order[first + np.arange(stop.size)]
 
-    delta = plan.positions[stop] - field.positions[sensor]
+    delta = stops[stop] - field.positions[sensor]
     dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
     cos_inc = np.einsum("ij,ij->i", delta, field.normals[sensor]) / dist
     incidence = np.arccos(np.clip(cos_inc, -1.0, 1.0))
@@ -431,7 +451,7 @@ def simulate_tour(
     raises ValueError.
     """
     k, n = plan.n_stops, field.n_sensors
-    stop, sensor, rate = _charging_pairs(config.link, field, plan)
+    stop, sensor, rate = _charging_pairs(config.link, field, plan.positions)
     banked = rate * (config.dwell_time * config.phase_split)
     harvested, spent, packets, pair_packets = _settle(sensor, banked, n, config.costs)
 

@@ -2,13 +2,16 @@
 plus the derived metrics: efficiency, gain ratios, peak detection,
 and the two calibration solvers.
 
-A sweep runs case by case. Each (case, stop count) geometry and its
-charging pairs are built once and serve every dwell; the valid cells
-of a case then settle in one accounting pass with run_mission's own
-kernel, each cell's sensors under ids of their own. Cells are pure
-functions of (base config, cell coordinates), so cases can be spread
-over worker processes without changing a single output bit; the
-emitted ordering is fixed by the axes.
+A sweep runs case by case and holds each case's path, sensor field and
+stop plans itself. The value rules run per cell; the path, field and
+phase are built once per case, and the stop plans of all its stop
+counts come from batched arc inversions, each batch's charging pairs
+from one call of run_mission's pair kernel. Every plan serves all
+dwells of its stop count. The valid cells of a case then settle in
+one accounting pass with run_mission's own kernel, each cell's sensors
+under ids of their own. Cells are pure functions of (base config, cell
+coordinates), so cases can be spread over worker processes without
+changing a single output bit; the emitted ordering is fixed by the axes.
 """
 
 from __future__ import annotations
@@ -27,14 +30,16 @@ from wpcnsim.mission import (
     ScenarioConfig,
     _charging_pairs,
     _energy,
-    _geometry,
     _packet_bound,
     _settle,
+    _stages,
     _standoff_rate,
     _value_errors,
     endurance,
     run_mission,  # noqa: F401 -- wpcnbench/tracing.py wraps sweep.run_mission
 )
+from wpcnsim.geometry import equidistant_arcs
+from wpcnsim.layout import _facing_arcs, _plans_at_arcs
 from wpcnsim.rf_link import fspl_db, received_power
 
 __all__ = [
@@ -60,6 +65,9 @@ __all__ = [
 DEFAULT_STOP_COUNTS = tuple(range(4, 101))
 DEFAULT_DWELLS = (20.0, 70.0)
 DEFAULT_CASES = (("p1", "s1"), ("p1", "s2"), ("p2", "s1"), ("p2", "s2"))
+# most stops inverted and paired at once: the batch's pair arrays, not the
+# grid's, bound the memory a case needs beyond its settled pairs
+_BATCH_STOPS = 2**14
 
 
 @dataclass(frozen=True)
@@ -102,55 +110,93 @@ def _per_kilojoule(packets: int, energy: float) -> float:
     return packets / (energy / 1000.0)
 
 
-def _cell_config(
-    base: ScenarioConfig, placement: str, layout: str, n_stops: int, dwell: float
-) -> ScenarioConfig:
-    return dataclasses.replace(
-        base, placement=placement, layout=layout, n_stops=n_stops, dwell_time=dwell
-    )
+def _batches(stop_counts):
+    """Consecutive runs of stop counts holding at most _BATCH_STOPS stops;
+    a larger single count forms a batch of its own."""
+    batch, size = [], 0
+    for n_stops in stop_counts:
+        if batch and size + n_stops > _BATCH_STOPS:
+            yield batch
+            batch, size = [], 0
+        batch.append(n_stops)
+        size += n_stops
+    if batch:
+        yield batch
 
 
-def _charging_plan(config: ScenarioConfig):
-    """(geometry violations, charging sensors, rates) of the config's stop plan."""
-    try:
-        _, field, plan = _geometry(config)
-    except ConfigError as err:
-        return err.errors, None, None
-    _, sensor, rate = _charging_pairs(config.link, field, plan)
-    return [], sensor, rate
+def _stop_pairs(configs: list) -> dict:
+    """n_stops -> (geometry violations, charging sensors, rates).
+
+    configs are the cells of one case that pass the value rules. The
+    path, field and phase are built once, at 0 stops, where the plan
+    stage cannot fail; each stop count then adds its own plan's
+    violation, as _geometry words it.
+    """
+    if not configs:
+        return {}
+    config = configs[0]
+    errors, path, field, plan = _stages(dataclasses.replace(config, n_stops=0))
+    stop_counts = list(dict.fromkeys(c.n_stops for c in configs))
+    if plan is None:  # no stop count gets as far as its plan
+        return dict.fromkeys(stop_counts, (errors, None, None))
+    if config.placement == "p1":
+        rule = partial(_facing_arcs, path, field)
+    else:
+        rule = partial(equidistant_arcs, path, phase=config.p2_phase)
+    result = {}
+    for batch in _batches(stop_counts):
+        plans = _plans_at_arcs(path, [rule(k) if k else np.empty(0) for k in batch])
+        built = []
+        for n_stops, plan in zip(batch, plans):
+            failed = errors + [f"n_stops: {plan}"] if isinstance(plan, ValueError) else errors
+            if failed:
+                result[n_stops] = (failed, None, None)
+            else:
+                built.append((n_stops, plan))
+        if not built:
+            continue
+        stops = np.concatenate([plan.positions for _, plan in built])
+        stop, sensor, rate = _charging_pairs(config.link, field, stops)
+        offsets = np.cumsum([0] + [plan.n_stops for _, plan in built])
+        bounds = np.searchsorted(stop, offsets).tolist()
+        for (n_stops, _), a, b in zip(built, bounds, bounds[1:]):
+            result[n_stops] = ([], sensor[a:b], rate[a:b])
+    return result
 
 
 def _sweep_case(case, base: ScenarioConfig, stop_counts: tuple, dwells: tuple) -> list:
     """The cells of one case, in stop count then dwell order.
 
     Each cell is checked by the rules validate_config states, the geometry
-    only once per stop count; an invalid cell carries run_mission's message.
+    through _stop_pairs; an invalid cell carries run_mission's message.
     The valid cells' sensors settle together: sensor i of the c-th valid
     cell has id c * n_sensors + i, so no two cells share an account.
     """
     n = base.n_sensors
+    placement, layout = case
+    grid = [
+        dataclasses.replace(base, placement=placement, layout=layout, n_stops=k, dwell_time=dwell)
+        for k in stop_counts
+        for dwell in dwells
+    ]
+    checks = [_value_errors(config) for config in grid]
+    pairs = _stop_pairs([config for config, errors in zip(grid, checks) if not errors])
     cells, valid, sensors, banked = [], [], [], []
     best = None
-    for n_stops in stop_counts:
-        pairs = None
-        for dwell in dwells:
-            config = _cell_config(base, *case, n_stops, dwell)
-            errors = _value_errors(config)
-            if not errors:
-                pairs = pairs or _charging_plan(config)
-                errors = pairs[0]
-            if not errors:
-                if best is None:  # every cell has the base's link and standoff
-                    best = _standoff_rate(config)
-                errors = _packet_bound(config, best)
-            if errors:
-                cells.append(SweepCell(0, 0.0, 0.0, False, error=str(ConfigError(errors))))
-                continue
-            _, sensor, rate = pairs
-            sensors.append(sensor + len(valid) * n)
-            banked.append(rate * (config.dwell_time * config.phase_split))
-            valid.append((len(cells), config))
-            cells.append(None)
+    for config, errors in zip(grid, checks):
+        if not errors:
+            errors, sensor, rate = pairs[config.n_stops]
+        if not errors:
+            if best is None:  # every cell has the base's link and standoff
+                best = _standoff_rate(config)
+            errors = _packet_bound(config, best)
+        if errors:
+            cells.append(SweepCell(0, 0.0, 0.0, False, error=str(ConfigError(errors))))
+            continue
+        sensors.append(sensor + len(valid) * n)
+        banked.append(rate * (config.dwell_time * config.phase_split))
+        valid.append((len(cells), config))
+        cells.append(None)
     if valid:
         # accounts only for the sensors that charge, so memory follows the
         # pairs and not cells x sensors

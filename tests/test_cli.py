@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -343,6 +342,23 @@ def test_cli_calibrate_stops_beyond_float_range(capsys):
 def test_cli_calibrate_packets_beyond_float_range(capsys):
     assert main(["calibrate", "--packets", "1" + "0" * 400]) == 2
     assert capsys.readouterr().err.startswith("calibrate: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--packets", "5", "--stops", "100000"], "calibrate: --stops: 100000 stops"),
+        (["--packets", "5", "--stops", "1" + "0" * 400], "calibrate: --stops: int too large"),
+        (["--packets", "1" + "0" * 400, "--stops", "80"], "calibrate: --packets: int too large"),
+        (["--packets", "0", "--stops", "80"], "calibrate: --packets: target_packets"),
+    ],
+    ids=["stops-past-endurance", "stops-past-float", "packets-past-float", "packets-zero"],
+)
+def test_cli_calibrate_solves_every_flag_before_printing(capsys, argv, message):
+    assert main(["calibrate", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
 
 
 def test_cli_sweep_writes_three_artifacts(capsys, tmp_path):

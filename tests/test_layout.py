@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from wpcnsim import ellipse_from_perimeter
+from wpcnsim.geometry import equidistant_arcs
 from wpcnsim.layout import (
     StopPlan,
+    _facing_arcs,
+    _plans_at_arcs,
+    _target_arcs,
     place_sensors_even,
     place_sensors_paired,
     place_stops_equal_arcs,
@@ -147,3 +151,65 @@ def test_layouts_are_cached():
     assert place_sensors_even(PATH, 100) is place_sensors_even(PATH, 100)
     field = place_sensors_paired(PATH, 100)
     assert place_stops_facing(PATH, field, 50) is place_stops_facing(PATH, field, 50)
+
+
+def _assert_same_plans(batched, placed):
+    assert len(batched) == len(placed)
+    for one, other in zip(batched, placed):
+        assert np.array_equal(one.arc_coords, other.arc_coords)
+        assert np.array_equal(one.positions, other.positions)
+
+
+@pytest.mark.parametrize("aspect", [1.0, 5.0, 37.0])
+def test_batched_facing_plans_match_the_placer(aspect):
+    path = ellipse_from_perimeter(aspect, 321.0)
+    # pair 0 straddles the seam; a wide pair spacing moves the targets off
+    # the sensors' equidistant grid
+    fields = [
+        place_sensors_even(path, 14, standoff=0.02),
+        place_sensors_paired(path, 14, pair_spacing=0.1, standoff=0.02),
+        place_sensors_paired(path, 14, pair_spacing=9.0, standoff=0.02),
+    ]
+    for field in fields:
+        m = int(field.cluster_ids.max()) + 1
+        counts = range(0, 2 * m + 9)  # past 2m, where gaps take several extras
+        batched = _plans_at_arcs(
+            path, [_facing_arcs(path, field, k) if k else np.empty(0) for k in counts]
+        )
+        _assert_same_plans(batched, [place_stops_facing(path, field, k) for k in counts])
+
+
+def test_batched_equal_arc_plans_match_the_placer():
+    path = ellipse_from_perimeter(3.3, 321.0)
+    p = path.perimeter
+    counts = [0, 1, 2, 3, 7, 50, 99, 100, 101, 1000]
+    for phase in (0.0, 2.5, p / 3.0, p - 1e-9, np.nextafter(p, 0.0)):
+        batched = _plans_at_arcs(
+            path, [equidistant_arcs(path, k, phase) if k else np.empty(0) for k in counts]
+        )
+        _assert_same_plans(batched, [place_stops_equal_arcs(path, k, phase) for k in counts])
+
+
+def test_batched_plans_return_a_bad_set_error_in_its_place():
+    plans = _plans_at_arcs(PATH, [np.array([1.0, 2.0]), np.array([3.0, 3.0]), np.empty(0)])
+    assert plans[0].n_stops == 2 and plans[2].n_stops == 0
+    assert isinstance(plans[1], ValueError)
+    assert "strictly increasing" in str(plans[1])
+
+
+def test_facing_arcs_split_each_gap_as_written():
+    # the per-gap rule spelled out: extra j of gap i at targets[i] + gaps[i] * j / (e_i + 1)
+    path = ellipse_from_perimeter(2.7, 321.0)
+    for field in (place_sensors_even(path, 13), place_sensors_paired(path, 26, pair_spacing=3.0)):
+        targets = _target_arcs(field, path.perimeter)
+        m = targets.size
+        gaps = np.diff(np.append(targets, targets[0] + path.perimeter))
+        for k in range(m + 1, 5 * m):
+            extras = np.full(m, (k - m) // m)
+            extras[: (k - m) % m] += 1
+            parts = [targets] + [
+                targets[i] + gaps[i] * np.arange(1, extras[i] + 1) / (extras[i] + 1)
+                for i in range(m)
+            ]
+            expected = np.sort(np.concatenate(parts) % path.perimeter)
+            assert np.array_equal(_facing_arcs(path, field, k), expected)

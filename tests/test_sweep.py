@@ -1,6 +1,7 @@
 """Sweep grids, gain metrics, peak detection, and calibration solvers."""
 
 import dataclasses
+import importlib
 from collections import Counter
 
 import numpy as np
@@ -150,6 +151,54 @@ def test_batched_sweep_matches_run_mission_cell_for_cell():
     # value, parity, geometry and packet-bound errors all occur
     assert {"dwell_time", "paired", "p2_phase:", "a"} <= set(errors) and valid
     assert most_visits > 1
+
+
+def test_stop_batches_stay_bounded_and_match_run_mission(monkeypatch):
+    sweep_module = importlib.import_module("wpcnsim.sweep")
+    kernel, batch_stops = sweep_module._charging_pairs, []
+
+    def counted(link, field, stops):
+        batch_stops.append(stops.shape[0])
+        return kernel(link, field, stops)
+
+    monkeypatch.setattr(sweep_module, "_charging_pairs", counted)
+    base = dataclasses.replace(DEFAULTS, n_sensors=4)
+    # 5000 + 6000 fit one batch of 2**14 stops, 7000 would overflow it, and
+    # 20000 exceeds it alone, so it is a batch of its own
+    stop_counts = [5000, 6000, 7000, 20000, 3]
+    table = sweep(base, stop_counts, [20.0], DEFAULT_CASES)
+    assert batch_stops == [11000, 7000, 20000, 3] * len(DEFAULT_CASES)
+    for (placement, layout, n_stops, dwell), cell in table.cells.items():
+        ledger = run_mission(
+            dataclasses.replace(
+                base, placement=placement, layout=layout, n_stops=n_stops, dwell_time=dwell
+            )
+        )
+        assert cell == SweepCell(
+            ledger.total_packets, ledger.total_uav_energy, efficiency(ledger), ledger.feasible
+        )
+
+
+def test_a_plan_that_fails_fails_only_its_own_stop_count(monkeypatch):
+    facing_arcs = importlib.import_module("wpcnsim.layout")._facing_arcs
+
+    def repeat_an_arc_at_seven(path, field, n_stops):
+        arcs = facing_arcs(path, field, n_stops)
+        return arcs[np.minimum(np.arange(n_stops), n_stops - 2)] if n_stops == 7 else arcs
+
+    for module in ("wpcnsim.layout", "wpcnsim.sweep"):
+        monkeypatch.setattr(importlib.import_module(module), "_facing_arcs", repeat_an_arc_at_seven)
+    # a perimeter no other test uses, so no placer has a plan of it cached
+    base = dataclasses.replace(DEFAULTS, path_perimeter=432.1)
+    table = sweep(base, [5, 7, 9], [20.0, 70.0], [("p1", "s1")])
+    for (placement, layout, n_stops, dwell), cell in table.cells.items():
+        config = dataclasses.replace(base, n_stops=n_stops, dwell_time=dwell)
+        if n_stops == 7:
+            with pytest.raises(ConfigError, match="^n_stops: stop arcs must be strictly") as err:
+                run_mission(config)
+            assert cell == SweepCell(0, 0.0, 0.0, False, error=str(err.value))
+        else:
+            assert cell.error == "" and cell.total_packets == run_mission(config).total_packets
 
 
 def test_sweep_flags_bad_cells_instead_of_dropping():
