@@ -115,22 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> ScenarioConfig:
-    if getattr(args, "config", None):
-        text = _read_config_file(args.config)
-        config = parse_config_text(text, source=str(args.config))
-    else:
-        config = ScenarioConfig()
-    overrides = {}
-    if getattr(args, "stops", None) is not None and args.command == "simulate":
-        overrides["n_stops"] = args.stops
-    if getattr(args, "dwell", None) is not None and args.command == "simulate":
-        overrides["dwell_time"] = args.dwell
-    if getattr(args, "case", None) and args.command == "simulate":
-        placement, layout = _CASES[args.case]
-        overrides["placement"] = placement
-        overrides["layout"] = layout
-    # run_mission validates what the overrides make of the config
-    return replace(config, **overrides)
+    if args.config:
+        return parse_config_text(_read_config_file(args.config), source=str(args.config))
+    return ScenarioConfig()
 
 
 def _digest(config: ScenarioConfig) -> str:
@@ -139,7 +126,15 @@ def _digest(config: ScenarioConfig) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    config = _resolve_config(args)
+    overrides = {}
+    if args.stops is not None:
+        overrides["n_stops"] = args.stops
+    if args.dwell is not None:
+        overrides["dwell_time"] = args.dwell
+    if args.case:
+        overrides["placement"], overrides["layout"] = _CASES[args.case]
+    # run_mission validates what the overrides make of the config
+    config = replace(_resolve_config(args), **overrides)
     ledger = run_mission(config)
     print(
         f"packets {ledger.total_packets}  "

@@ -37,11 +37,12 @@ _REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EllipseSpec:
-    """Axis-aligned ellipse; its arc table is built at construction, not compared."""
+    """Axis-aligned ellipse; its arc table is built at construction, not compared,
+    and ends at its perimeter."""
 
     semi_major: float
     semi_minor: float
-    perimeter: float
+    perimeter: float = field(init=False)
     arc_table: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -50,15 +51,13 @@ class EllipseSpec:
                 "ellipse axes must satisfy semi_major >= semi_minor > 0, "
                 f"got ({self.semi_major}, {self.semi_minor})"
             )
-        if not self.perimeter > 0.0:
-            raise ValueError(f"perimeter must be positive, got {self.perimeter}")
-        object.__setattr__(self, "arc_table", _arc_table(self.semi_major, self.semi_minor))
-
-    @classmethod
-    def from_axes(cls, semi_major: float, semi_minor: float) -> "EllipseSpec":
-        """Build a spec with the perimeter integrated from the axes."""
-        total = float(_arc_table(float(semi_major), float(semi_minor))[-1])
-        return cls(float(semi_major), float(semi_minor), total)
+        with np.errstate(over="ignore"):
+            table = _arc_table(self.semi_major, self.semi_minor)
+        perimeter = float(table[-1])
+        if not 0.0 < perimeter < math.inf:
+            raise ValueError(f"perimeter must be positive and finite, got {perimeter}")
+        object.__setattr__(self, "perimeter", perimeter)
+        object.__setattr__(self, "arc_table", table)
 
 
 def _speed(a: float, b: float, t: np.ndarray) -> np.ndarray:
@@ -125,13 +124,17 @@ def ellipse_from_perimeter(aspect_ratio: float, target_perimeter: float) -> Elli
                 hi = mid
         scale = 0.5 * (lo + hi)
         a, b = float(scale * aspect_ratio), float(scale)
-        perimeter = float(_arc_table(a, b)[-1])
+        try:
+            path = EllipseSpec(a, b)
+            perimeter = path.perimeter
+        except ValueError:  # axes that round to 0 or integrate to 0 or inf
+            perimeter = float(_arc_table(a, b)[-1])
     if not abs(perimeter - target_perimeter) <= _REL_TOL * target_perimeter:
         raise ValueError(
             f"target_perimeter {target_perimeter} cannot be sized at aspect ratio "
             f"{aspect_ratio}: the path integrates to {perimeter}"
         )
-    return EllipseSpec(a, b, perimeter)
+    return path
 
 
 def _params_at_arcs(ellipse: EllipseSpec, arcs: np.ndarray) -> np.ndarray:

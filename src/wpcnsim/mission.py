@@ -171,10 +171,13 @@ def _leaves(config: ScenarioConfig):
 
 
 def _stages(config: ScenarioConfig):
-    """(violations, path, field, plan): _geometry's stages, without raising.
+    """(violations, path, field, plan): the geometry that the mission flies.
 
-    A stage whose inputs failed is skipped and left None. At 0 stops the
-    plan stage cannot fail, so a None plan there means an input failed.
+    Each stage runs once its inputs are built and its ValueError becomes one
+    violation, led by the config key it names; a stage whose inputs failed
+    is skipped and left None. At 0 stops the plan stage cannot fail, so a
+    None plan there means an input failed. The p2 phase is checked under
+    every placement, because a sweep turns p1 bases into p2 cells.
     """
     errors = []
 
@@ -218,19 +221,6 @@ def _stages(config: ScenarioConfig):
             {"n_stops": "n_stops"}, place_stops_equal_arcs, path, config.n_stops, config.p2_phase
         )
     return errors, path, field, plan
-
-
-def _geometry(config: ScenarioConfig):
-    """The flight path, sensor field and stop plan that the mission flies.
-
-    Each stage runs once its inputs are built and its ValueError becomes one
-    violation, led by the config key it names. The p2 phase is checked under
-    every placement, because a sweep turns p1 bases into p2 cells.
-    """
-    errors, path, field, plan = _stages(config)
-    if errors:
-        raise ConfigError(errors)
-    return path, field, plan
 
 
 def _value_errors(config: ScenarioConfig) -> list:
@@ -309,6 +299,18 @@ def _packet_bound(config: ScenarioConfig, best: float) -> list:
     return []
 
 
+def _checked(config: ScenarioConfig):
+    """(violations, path, field, plan): validate_config's violations and the
+    geometry its stages built for run_mission to fly, None where not built."""
+    errors = _value_errors(config)
+    if errors:
+        return errors, None, None, None
+    errors, path, field, plan = _stages(config)
+    if not errors:
+        errors = _packet_bound(config, _standoff_rate(config))
+    return errors, path, field, plan
+
+
 def validate_config(config: ScenarioConfig) -> list:
     """Check every invariant and return all violations, not just the first.
 
@@ -317,12 +319,7 @@ def validate_config(config: ScenarioConfig) -> list:
     limits hold against the realized path; each failing stage adds a message.
     Last, the packets a mission could count must stay exact in floats.
     """
-    errors = _value_errors(config)
-    if not errors:
-        errors.extend(_stages(config)[0])
-    if not errors:
-        errors.extend(_packet_bound(config, _standoff_rate(config)))
-    return errors
+    return _checked(config)[0]
 
 
 def endurance(config: ScenarioConfig) -> float:
@@ -350,10 +347,10 @@ def max_stops(config: ScenarioConfig, dwell: float) -> int:
 
 def run_mission(config: ScenarioConfig) -> MissionLedger:
     """Build the scenario's layout and stop plan, then simulate the tour."""
-    errors = validate_config(config)
+    errors, path, field, plan = _checked(config)
     if errors:
         raise ConfigError(errors)
-    return simulate_tour(config, *_geometry(config))
+    return simulate_tour(config, path, field, plan)
 
 
 def _charging_pairs(link: LinkParams, field: SensorField, stops: np.ndarray):

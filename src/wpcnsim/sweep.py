@@ -130,7 +130,7 @@ def _stop_pairs(configs: list) -> dict:
     configs are the cells of one case that pass the value rules. The
     path, field and phase are built once, at 0 stops, where the plan
     stage cannot fail; each stop count then adds its own plan's
-    violation, as _geometry words it.
+    violation, as _stages words it.
     """
     if not configs:
         return {}
@@ -274,58 +274,55 @@ def efficiency_curve(
     )
 
 
-def clustering_gain_cells(table: SweepTable, placements=("p1",)) -> dict:
+def clustering_gain_cells(table: SweepTable) -> dict:
     """Per-cell paired-over-even efficiency ratios on matched coordinates.
 
     Both cells of a pair must be feasible and error-free with a positive
-    even-layout efficiency; keys are (placement, n_stops, dwell).
+    even-layout efficiency; keys are ("p1", n_stops, dwell).
     """
     ratios = {}
-    for placement in placements:
-        if not {(placement, "s1"), (placement, "s2")} <= set(table.cases):
-            continue
-        for n_stops in table.stop_counts:
-            for dwell in table.dwells:
-                even = table.cell(placement, "s1", n_stops, dwell)
-                paired = table.cell(placement, "s2", n_stops, dwell)
-                usable = (
-                    not even.error
-                    and not paired.error
-                    and even.feasible
-                    and paired.feasible
-                    and even.efficiency > 0.0
-                )
-                if usable:
-                    ratios[(placement, n_stops, dwell)] = (
-                        paired.efficiency / even.efficiency
-                    )
+    if not {("p1", "s1"), ("p1", "s2")} <= set(table.cases):
+        return ratios
+    for n_stops in table.stop_counts:
+        for dwell in table.dwells:
+            even = table.cell("p1", "s1", n_stops, dwell)
+            paired = table.cell("p1", "s2", n_stops, dwell)
+            usable = (
+                not even.error
+                and not paired.error
+                and even.feasible
+                and paired.feasible
+                and even.efficiency > 0.0
+            )
+            if usable:
+                ratios[("p1", n_stops, dwell)] = paired.efficiency / even.efficiency
     return ratios
 
 
-def clustering_gain(table: SweepTable, placements=("p1",)) -> float:
+def clustering_gain(table: SweepTable) -> float:
     """Mean efficiency gain of the paired layout over the even layout.
 
-    Averaged over matched feasible (placement, n_stops, dwell) cells.
-    The default basis compares only sensor-facing placements, where the
-    pairing is actually exploited by the stop plan.
+    Averaged over matched feasible (n_stops, dwell) cells. It compares
+    only sensor-facing placements, where the pairing is actually
+    exploited by the stop plan.
     """
-    ratios = clustering_gain_cells(table, placements)
+    ratios = clustering_gain_cells(table)
     if not ratios:
         raise ValueError("no matched feasible layout pairs in the table")
     return sum(ratios.values()) / len(ratios)
 
 
-def equal_coverage_gain(table: SweepTable, placement: str = "p1") -> float:
-    """Paired-over-even gain at equal coverage: k pair stops vs 2k even stops."""
-    if not {(placement, "s1"), (placement, "s2")} <= set(table.cases):
-        raise ValueError(f"table lacks both layouts under placement {placement!r}")
+def equal_coverage_gain(table: SweepTable) -> float:
+    """Paired-over-even gain at equal coverage under p1: k pair stops vs 2k even stops."""
+    if not {("p1", "s1"), ("p1", "s2")} <= set(table.cases):
+        raise ValueError("table lacks both layouts under placement 'p1'")
     ratios = []
     for n_stops in table.stop_counts:
         if 2 * n_stops not in table.stop_counts:
             continue
         for dwell in table.dwells:
-            paired = table.cell(placement, "s2", n_stops, dwell)
-            even = table.cell(placement, "s1", 2 * n_stops, dwell)
+            paired = table.cell("p1", "s2", n_stops, dwell)
+            even = table.cell("p1", "s1", 2 * n_stops, dwell)
             usable = (
                 not paired.error
                 and not even.error

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from wpcnsim import geometry
 from wpcnsim.geometry import (
     _arc_from_zero,
     _arc_table,
@@ -23,7 +24,7 @@ from wpcnsim.geometry import (
 )
 
 PATH = ellipse_from_perimeter(5.0, 500.0)
-CIRCLE = EllipseSpec.from_axes(10.0, 10.0)
+CIRCLE = EllipseSpec(10.0, 10.0)
 
 
 def quad_arc(ellipse, t0, t1):
@@ -69,7 +70,7 @@ def test_from_perimeter_rejects_bad_arguments():
     with pytest.raises(ValueError):
         ellipse_from_perimeter(5.0, -1.0)
     with pytest.raises(ValueError):
-        EllipseSpec.from_axes(1.0, 2.0)
+        EllipseSpec(1.0, 2.0)
 
 
 def grid_arc_table(a, b):
@@ -104,7 +105,7 @@ def test_spec_carries_its_own_read_only_arc_table():
     assert np.array_equal(path.arc_table, _arc_table(path.semi_major, path.semi_minor))
     assert path.arc_table[-1] == path.perimeter
 
-    twin = EllipseSpec(path.semi_major, path.semi_minor, path.perimeter)
+    twin = EllipseSpec(path.semi_major, path.semi_minor)
     assert twin == path and hash(twin) == hash(path)
     assert repr(path) == (
         f"EllipseSpec(semi_major={path.semi_major!r}, "
@@ -118,6 +119,34 @@ def test_spec_carries_its_own_read_only_arc_table():
     back = pickle.loads(pickle.dumps(path))
     assert back == path
     assert np.array_equal(back.arc_table, path.arc_table)
+
+
+def test_replace_works_the_perimeter_out_from_the_new_axes():
+    path = ellipse_from_perimeter(3.0, 250.0)
+    wider = dataclasses.replace(path, semi_major=2.0 * path.semi_major)
+    assert wider.perimeter == wider.arc_table[-1]
+    assert wider.perimeter > path.perimeter
+
+
+def test_a_sizing_builds_two_arc_tables_and_a_spec_one(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return _arc_table(a, b)
+
+    monkeypatch.setattr(geometry, "_arc_table", counted)
+    ellipse_from_perimeter(3.3, 321.0)
+    assert len(calls) == 2
+    calls.clear()
+    EllipseSpec(2.0, 1.0)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("axes", [(1e-170, 1e-170), (1e200, 1e200), (math.inf, 1.0)])
+def test_axes_whose_arc_integral_is_zero_or_inf_are_rejected(axes):
+    with pytest.raises(ValueError, match="perimeter must be positive and finite"):
+        EllipseSpec(*axes)
 
 
 # ------------------------------------------------------------ arc length
@@ -242,7 +271,7 @@ def test_equidistant_arcs_uniform_spacing_up_to_200():
 def test_equidistant_arcs_phase_examples():
     disc = ellipse_from_perimeter(1.0, 500.0)
     assert equidistant_arcs(disc, 1, 7.0) == pytest.approx([7.0])
-    unit = EllipseSpec.from_axes(1.0, 1.0)
+    unit = EllipseSpec(1.0, 1.0)
     assert equidistant_arcs(unit, 4) == pytest.approx(
         [0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0], rel=1e-12, abs=1e-12
     )

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wpcnsim import received_power
+from wpcnsim import mission, received_power
 from wpcnsim.geometry import ellipse_from_perimeter, poses_at_arcs
 from wpcnsim.layout import StopPlan, place_sensors_even, place_stops_facing
 from wpcnsim.mission import (
@@ -143,6 +143,18 @@ def test_one_plan_hovers_for_each_config_dwell():
         assert ledger.hover_energy == (80 * dwell) * DEFAULTS.uav_flight_power
         assert ledger.mission_time == 80.0 + 80 * dwell
         assert ledger == run_mission(config)
+
+
+def test_a_mission_builds_its_geometry_once(monkeypatch):
+    stages, calls = mission._stages, []
+
+    def counted(config):
+        calls.append(config)
+        return stages(config)
+
+    monkeypatch.setattr(mission, "_stages", counted)
+    run_mission(ScenarioConfig())
+    assert len(calls) == 1
 
 
 def test_stop_on_a_sensor_raises():

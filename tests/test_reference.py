@@ -16,7 +16,7 @@ from wpcnsim.mission import (
     SensorRecord,
     StopRecord,
     _flight_path,
-    _geometry,
+    _stages,
     run_mission,
     simulate_tour,
     validate_config,
@@ -87,7 +87,7 @@ def _accepted_configs(seed, count):
 
 def _assert_matches_reference(config):
     """simulate_tour's ledger for config, checked against the reference tour."""
-    path, field, plan = _geometry(config)
+    _, path, field, plan = _stages(config)
     ledger = simulate_tour(config, path, field, plan)
     stops, sensors = reference_tour(config, field, plan)
     assert [(rec.charged, rec.packets) for rec in ledger.per_stop] == stops
@@ -206,7 +206,7 @@ def test_harvest_window_matches_reference(config):
     ledger = _assert_matches_reference(config)
     if math.isinf(reach):
         # with no threshold, pairs charge far beyond the default reach
-        _, field, plan = _geometry(config)
+        _, _, field, plan = _stages(config)
         farthest = max(
             math.dist(plan.positions[rec.stop_id], field.positions[i])
             for rec in ledger.per_stop
