@@ -37,12 +37,7 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
-_CASES = {
-    "p1s1": ("p1", "s1"),
-    "p1s2": ("p1", "s2"),
-    "p2s1": ("p2", "s1"),
-    "p2s2": ("p2", "s2"),
-}
+_CASES = {placement + layout: (placement, layout) for placement, layout in DEFAULT_CASES}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,7 @@ from wpcnsim.mission import (
 )
 from wpcnsim.sweep import (
     SweepTable,
+    _per_kilojoule,
     clustering_gain_cells,
     efficiency,
     efficiency_curve,
@@ -225,7 +226,7 @@ def write_sweep_csv(table: SweepTable, out_dir) -> Path:
                 cell = table.cell(placement, layout, n_stops, dwell)
                 energy_text = _sig9(cell.total_uav_energy)
                 energy = float(energy_text)
-                eff = cell.total_packets / (energy / 1000.0) if energy > 0 else 0.0
+                eff = _per_kilojoule(cell.total_packets, energy) if energy > 0 else 0.0
                 rows.append(
                     f"{placement},{layout},{n_stops},{_sig9(dwell)},"
                     f"{cell.total_packets},{energy_text},{_sig9(eff)},"

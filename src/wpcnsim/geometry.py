@@ -56,6 +56,12 @@ class EllipseSpec:
         perimeter = float(table[-1])
         if not 0.0 < perimeter < math.inf:
             raise ValueError(f"perimeter must be positive and finite, got {perimeter}")
+        # arc inversion divides by the path speed, which is least at t = 0
+        if _speed(self.semi_major, self.semi_minor, 0.0) == 0.0:
+            raise ValueError(
+                f"ellipse axes ({self.semi_major}, {self.semi_minor}) are too small: "
+                "the path speed at t = 0 underflows to 0"
+            )
         object.__setattr__(self, "perimeter", perimeter)
         object.__setattr__(self, "arc_table", table)
 
@@ -127,8 +133,10 @@ def ellipse_from_perimeter(aspect_ratio: float, target_perimeter: float) -> Elli
         try:
             path = EllipseSpec(a, b)
             perimeter = path.perimeter
-        except ValueError:  # axes that round to 0 or integrate to 0 or inf
+        except ValueError:  # axes that round to 0, integrate to 0 or inf, or are too small
             perimeter = float(_arc_table(a, b)[-1])
+            if abs(perimeter - target_perimeter) <= _REL_TOL * target_perimeter:
+                raise
     if not abs(perimeter - target_perimeter) <= _REL_TOL * target_perimeter:
         raise ValueError(
             f"target_perimeter {target_perimeter} cannot be sized at aspect ratio "
@@ -155,23 +163,19 @@ def _params_at_arcs(ellipse: EllipseSpec, arcs: np.ndarray) -> np.ndarray:
     return t
 
 
-def poses_at_arcs(
-    ellipse: EllipseSpec, arcs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions, tangents, and outward normals at the given arc coordinates.
+def poses_at_arcs(ellipse: EllipseSpec, arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and outward normals at the given arc coordinates.
 
-    Returns three (n, 2) arrays, one row per arc; arcs must already lie in
+    Returns two (n, 2) arrays, one row per arc; arcs must already lie in
     [0, perimeter).
     """
     a, b = ellipse.semi_major, ellipse.semi_minor
     t = _params_at_arcs(ellipse, np.asarray(arcs, dtype=float))
     ct, st = np.cos(t), np.sin(t)
     positions = np.stack([a * ct, b * st], axis=-1)
-    tangents = np.stack([-a * st, b * ct], axis=-1)
-    tangents /= np.linalg.norm(tangents, axis=-1, keepdims=True)
     normals = np.stack([b * ct, a * st], axis=-1)
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
-    return positions, tangents, normals
+    return positions, normals
 
 
 def equidistant_arcs(ellipse: EllipseSpec, k: int, phase: float = 0.0) -> np.ndarray:

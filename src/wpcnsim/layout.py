@@ -101,7 +101,7 @@ def _field_at_arcs(
     path: EllipseSpec, arcs: np.ndarray, cluster_ids: np.ndarray, standoff: float
 ) -> SensorField:
     _check_standoff(path, standoff)
-    feet, _, normals = poses_at_arcs(path, arcs)
+    feet, normals = poses_at_arcs(path, arcs)
     positions = feet - standoff * normals
     worst = float(np.abs(np.linalg.norm(feet - positions, axis=1) - standoff).max(initial=0.0))
     if worst > _OFFSET_TOL * standoff:

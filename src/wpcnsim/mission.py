@@ -16,7 +16,7 @@ sensors by ascending id, so repeated runs produce bit-identical ledgers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import lru_cache
 from operator import attrgetter
 
@@ -38,6 +38,7 @@ from wpcnsim.rf_link import (
     max_boresight_harvest_range,
     packets_supported,
     received_power,
+    wavelength,
 )
 
 __all__ = [
@@ -259,11 +260,15 @@ def _value_errors(config: ScenarioConfig) -> list:
         errors.append(f"e_measurement + e_tx_packet must be > 0, got {unit}")
     if not errors:
         # finite values can still combine beyond float range: the packet
-        # unit, and the energy of a mission without stops, which efficiency
-        # divides by and no mission undercuts
+        # unit, the wavelength, and the energy of a mission without stops,
+        # in the kilojoules that efficiency divides by and no mission undercuts
         if unit == math.inf:
             errors.append(f"e_measurement + e_tx_packet must be finite, got {unit}")
-        if config.path_perimeter > 0.0 and _energy(config, 0, 0)[-1] == 0.0:
+        if wavelength(config.link.frequency) == math.inf:
+            errors.append(
+                f"frequency: {config.link.frequency} Hz has a wavelength beyond float range"
+            )
+        if config.path_perimeter > 0.0 and _energy(config, 0, 0)[-1] / 1000.0 == 0.0:
             errors.append(
                 f"uav_flight_power: {config.uav_flight_power} W over one loop of "
                 f"{config.path_perimeter} m at {config.cruise_speed} m/s underflows to 0 J"
@@ -335,14 +340,12 @@ def max_stops(config: ScenarioConfig, dwell: float) -> int:
         raise ValueError(f"dwell must be > 0, got {dwell}")
     if not config.cruise_speed > 0:
         raise ValueError(f"cruise_speed must be > 0, got {config.cruise_speed}")
-    flight = config.path_perimeter / config.cruise_speed * config.uav_flight_power
+    # the loop, then one stop's hover and WPT at this dwell
+    flight, hover, wpt, _, _ = _energy(replace(config, dwell_time=dwell), 1, 0)
     budget = config.uav_battery - flight
     if budget < 0.0:
         return 0
-    per_stop = dwell * config.uav_flight_power
-    if config.wpt_draw_mode == "additional":
-        per_stop += dwell * config.phase_split * config.link.tx_power
-    return int(budget // per_stop)
+    return int(budget // (hover + wpt))
 
 
 def run_mission(config: ScenarioConfig) -> MissionLedger:

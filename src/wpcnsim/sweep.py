@@ -40,7 +40,7 @@ from wpcnsim.mission import (
 )
 from wpcnsim.geometry import equidistant_arcs
 from wpcnsim.layout import _facing_arcs, _plans_at_arcs
-from wpcnsim.rf_link import fspl_db, received_power
+from wpcnsim.rf_link import received_power
 
 __all__ = [
     "SweepCell",
@@ -274,29 +274,47 @@ def efficiency_curve(
     )
 
 
+def _matched_ratios(table: SweepTable, top, bottom, stop_pairs, feasible: bool) -> dict:
+    """(top n_stops, dwell) -> top over bottom efficiency on matched cells.
+
+    top and bottom are cases, stop_pairs their (top, bottom) stop counts; a
+    table without both cases has no pairs. A pair counts when both cells are
+    error-free, the bottom efficiency is positive and, if feasible is set,
+    both cells are feasible.
+    """
+    ratios = {}
+    if not {top, bottom} <= set(table.cases):
+        return ratios
+    for top_stops, bottom_stops in stop_pairs:
+        for dwell in table.dwells:
+            upper = table.cell(*top, top_stops, dwell)
+            lower = table.cell(*bottom, bottom_stops, dwell)
+            usable = (
+                not upper.error
+                and not lower.error
+                and (not feasible or upper.feasible and lower.feasible)
+                and lower.efficiency > 0.0
+            )
+            if usable:
+                ratios[(top_stops, dwell)] = upper.efficiency / lower.efficiency
+    return ratios
+
+
+def _mean(ratios: dict, message: str) -> float:
+    if not ratios:
+        raise ValueError(message)
+    return sum(ratios.values()) / len(ratios)
+
+
 def clustering_gain_cells(table: SweepTable) -> dict:
     """Per-cell paired-over-even efficiency ratios on matched coordinates.
 
     Both cells of a pair must be feasible and error-free with a positive
     even-layout efficiency; keys are ("p1", n_stops, dwell).
     """
-    ratios = {}
-    if not {("p1", "s1"), ("p1", "s2")} <= set(table.cases):
-        return ratios
-    for n_stops in table.stop_counts:
-        for dwell in table.dwells:
-            even = table.cell("p1", "s1", n_stops, dwell)
-            paired = table.cell("p1", "s2", n_stops, dwell)
-            usable = (
-                not even.error
-                and not paired.error
-                and even.feasible
-                and paired.feasible
-                and even.efficiency > 0.0
-            )
-            if usable:
-                ratios[("p1", n_stops, dwell)] = paired.efficiency / even.efficiency
-    return ratios
+    same = [(k, k) for k in table.stop_counts]
+    ratios = _matched_ratios(table, ("p1", "s2"), ("p1", "s1"), same, feasible=True)
+    return {("p1", *key): ratio for key, ratio in ratios.items()}
 
 
 def clustering_gain(table: SweepTable) -> float:
@@ -306,35 +324,18 @@ def clustering_gain(table: SweepTable) -> float:
     only sensor-facing placements, where the pairing is actually
     exploited by the stop plan.
     """
-    ratios = clustering_gain_cells(table)
-    if not ratios:
-        raise ValueError("no matched feasible layout pairs in the table")
-    return sum(ratios.values()) / len(ratios)
+    return _mean(clustering_gain_cells(table), "no matched feasible layout pairs in the table")
 
 
 def equal_coverage_gain(table: SweepTable) -> float:
     """Paired-over-even gain at equal coverage under p1: k pair stops vs 2k even stops."""
     if not {("p1", "s1"), ("p1", "s2")} <= set(table.cases):
         raise ValueError("table lacks both layouts under placement 'p1'")
-    ratios = []
-    for n_stops in table.stop_counts:
-        if 2 * n_stops not in table.stop_counts:
-            continue
-        for dwell in table.dwells:
-            paired = table.cell("p1", "s2", n_stops, dwell)
-            even = table.cell("p1", "s1", 2 * n_stops, dwell)
-            usable = (
-                not paired.error
-                and not even.error
-                and paired.feasible
-                and even.feasible
-                and even.efficiency > 0.0
-            )
-            if usable:
-                ratios.append(paired.efficiency / even.efficiency)
-    if not ratios:
-        raise ValueError("no matched feasible equal-coverage pairs in the table")
-    return sum(ratios) / len(ratios)
+    doubled = [(k, 2 * k) for k in table.stop_counts if 2 * k in table.stop_counts]
+    return _mean(
+        _matched_ratios(table, ("p1", "s2"), ("p1", "s1"), doubled, feasible=True),
+        "no matched feasible equal-coverage pairs in the table",
+    )
 
 
 def p1_gain_cells(table: SweepTable) -> dict:
@@ -343,32 +344,17 @@ def p1_gain_cells(table: SweepTable) -> dict:
     Keys are (layout, n_stops, dwell); cells where the sector placement
     collected nothing are left out (the ratio is unbounded there).
     """
+    same = [(k, k) for k in table.stop_counts]
     ratios = {}
     for layout in ("s1", "s2"):
-        if not {("p1", layout), ("p2", layout)} <= set(table.cases):
-            continue
-        for n_stops in table.stop_counts:
-            for dwell in table.dwells:
-                facing = table.cell("p1", layout, n_stops, dwell)
-                sector = table.cell("p2", layout, n_stops, dwell)
-                usable = (
-                    not facing.error
-                    and not sector.error
-                    and sector.efficiency > 0.0
-                )
-                if usable:
-                    ratios[(layout, n_stops, dwell)] = (
-                        facing.efficiency / sector.efficiency
-                    )
+        matched = _matched_ratios(table, ("p1", layout), ("p2", layout), same, feasible=False)
+        ratios.update(((layout, *key), ratio) for key, ratio in matched.items())
     return ratios
 
 
 def p1_gain_over_p2(table: SweepTable) -> float:
     """Mean efficiency gain of sensor-facing stops over equal-arc stops."""
-    ratios = p1_gain_cells(table)
-    if not ratios:
-        raise ValueError("no matched placement pairs in the table")
-    return sum(ratios.values()) / len(ratios)
+    return _mean(p1_gain_cells(table), "no matched placement pairs in the table")
 
 
 def find_peak(curve):
@@ -393,10 +379,7 @@ def calibrate_tx_power(target_packets: int, config: ScenarioConfig) -> float:
     if target_packets < 1:
         raise ValueError(f"target_packets must be >= 1, got {target_packets}")
     link = config.link
-    gain_db = link.tx_gain_dbi + link.rx_gain_dbi - fspl_db(
-        link.frequency, config.standoff
-    )
-    unit_link = 10.0 ** (gain_db / 10.0)
+    unit_link = received_power(dataclasses.replace(link, tx_power=1.0), config.standoff, 0.0)
     charge_time = config.dwell_time * config.phase_split
     tx = (target_packets * config.costs.packet_unit) / (
         charge_time * link.rf_dc_efficiency * unit_link
@@ -414,13 +397,21 @@ def calibrate_speed(stop_target: int, dwell: float, config: ScenarioConfig) -> f
     """Cruise speed whose battery budget fits exactly stop_target stops.
 
     Budgets the whole seconds of endurance: the loop gets what remains
-    after stop_target dwells, so flying any faster only adds slack.
+    after stop_target dwells and their billed WPT, so flying any faster
+    only adds slack.
     """
     if stop_target < 1:
         raise ValueError(f"stop_target must be >= 1, got {stop_target}")
     if not dwell > 0:
         raise ValueError(f"dwell must be > 0, got {dwell}")
-    loop_budget = math.floor(endurance(config)) - stop_target * dwell
+    # billed WPT joules are flight-power seconds that the loop cannot have;
+    # the speed is the unknown, so the config's own takes no part
+    billed = dataclasses.replace(config, dwell_time=dwell, cruise_speed=math.inf)
+    loop_budget = (
+        math.floor(endurance(config))
+        - stop_target * dwell
+        - _energy(billed, stop_target, 0)[2] / config.uav_flight_power
+    )
     if loop_budget <= 0:
         raise ValueError(
             f"{stop_target} stops of {dwell} s exceed the endurance "

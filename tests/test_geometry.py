@@ -194,10 +194,9 @@ def test_arc_length_additivity():
 
 
 def test_point_at_arc_circle_closed_form():
-    positions, tangents, normals = poses_at_arcs(CIRCLE, np.array([10.0 * math.pi / 2.0]))
+    positions, normals = poses_at_arcs(CIRCLE, np.array([10.0 * math.pi / 2.0]))
     assert positions[0] == pytest.approx([0.0, 10.0], abs=1e-9)
     assert normals[0] == pytest.approx([0.0, 1.0], abs=1e-9)
-    assert tangents[0] == pytest.approx([-1.0, 0.0], abs=1e-9)
 
 
 def test_point_at_arc_round_trip():
@@ -205,7 +204,7 @@ def test_point_at_arc_round_trip():
     arcs = np.concatenate(
         [[0.0, 1e-6, 499.999999], rng.uniform(0.0, PATH.perimeter, size=40)]
     )
-    positions, _, _ = poses_at_arcs(PATH, arcs)
+    positions, _ = poses_at_arcs(PATH, arcs)
     for s, (x, y) in zip(arcs, positions):
         t = math.atan2(y / PATH.semi_minor, x / PATH.semi_major) % (2.0 * math.pi)
         back = float(_arc_from_zero(PATH, t))
@@ -247,10 +246,8 @@ def test_inversion_matches_bisection(aspect_ratio):
 def test_pose_frame_invariants():
     rng = np.random.default_rng(19)
     arcs = rng.uniform(0.0, PATH.perimeter, size=64)
-    positions, tangents, normals = poses_at_arcs(PATH, arcs)
-    assert np.allclose(np.linalg.norm(tangents, axis=1), 1.0, atol=1e-12)
+    positions, normals = poses_at_arcs(PATH, arcs)
     assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
-    assert np.max(np.abs(np.sum(tangents * normals, axis=1))) <= 1e-12
     # outward means pointing away from the center
     assert np.all(np.sum(positions * normals, axis=1) > 0.0)
 

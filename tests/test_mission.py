@@ -113,7 +113,7 @@ def test_carry_over_between_visits():
     path = ellipse_from_perimeter(5.0, 500.0)
     field = place_sensors_even(path, 1)
     arcs = np.array([1.0, path.perimeter - 1.0])
-    positions, _, _ = poses_at_arcs(path, arcs)
+    positions, _ = poses_at_arcs(path, arcs)
     plan = StopPlan(arcs, positions)
 
     offset = positions[0] - field.positions[0]

@@ -1,6 +1,13 @@
 """The package namespace: each public name is stated once, in its module."""
 
+import ast
+from pathlib import Path
+
+import pytest
+
 import wpcnsim
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = {
     "__version__",
@@ -68,3 +75,13 @@ def test_package_all_is_pinned():
     assert set(wpcnsim.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(wpcnsim, name)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for part in ("src", "tests", "demos") for p in (ROOT / part).rglob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_source_parses_as_python_3_10(path):
+    # pyproject.toml admits Python 3.10, so no file may use later syntax
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

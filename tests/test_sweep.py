@@ -303,6 +303,16 @@ def test_calibrate_speed_reference():
     assert max_stops(dataclasses.replace(DEFAULTS, cruise_speed=6.25), 20.0) == 80
 
 
+@pytest.mark.parametrize("mode", ["included", "additional"])
+@pytest.mark.parametrize(
+    "stops, dwell", [(10, 20.0), (40, 20.0), (79, 20.0), (5, 70.0), (21, 70.0)]
+)
+def test_calibrate_speed_round_trips_through_max_stops(mode, stops, dwell):
+    config = dataclasses.replace(DEFAULTS, wpt_draw_mode=mode)
+    speed = calibrate_speed(stops, dwell, config)
+    assert max_stops(dataclasses.replace(config, cruise_speed=speed), dwell) == stops
+
+
 def test_calibrate_speed_rejects_impossible_targets():
     with pytest.raises(ValueError):
         calibrate_speed(1000, 20.0, DEFAULTS)

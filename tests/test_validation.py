@@ -53,6 +53,15 @@ CRASH_CONFIGS = {
         "tx_power": 1e300,
     },
     "flight-energy-underflow": {"cruise_speed": 1e300, "uav_flight_power": 1e-300},
+    # a mission energy above 0 J whose kilojoules, which efficiency divides by, are 0
+    "flight-kilojoules-underflow": {"uav_flight_power": 5e-324, "n_stops": 0},
+    "wavelength-overflow": {"frequency": 1e-308},
+    # a sized path whose speed at t = 0, which arc inversion divides by, is 0
+    "path-speed-underflow": {
+        "aspect_ratio": 2.5e149,
+        "path_perimeter": 1.1e-34,
+        "placement": "p2",
+    },
 }
 # the perimeter bisection never ended on these, or sized a path that
 # integrates to 0 or inf
