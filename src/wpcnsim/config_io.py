@@ -124,13 +124,15 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
 
 def _build_config(values: dict, errors: list) -> ScenarioConfig:
     base = ScenarioConfig()
-    kwargs = {}
+    top = {}
     for key, value in values.items():
-        kwargs.setdefault(_SCHEMA[key][0], {})[key] = value
-    top = kwargs.pop("", {})
-    for owner, nested in kwargs.items():
+        owner = _SCHEMA[key][0]
+        if not owner:
+            top[key] = value
+            continue
+        # one key at a time, so that every rejected link or cost key is reported
         try:
-            top[owner] = dataclasses.replace(getattr(base, owner), **nested)
+            top[owner] = dataclasses.replace(top.get(owner, getattr(base, owner)), **{key: value})
         except ValueError as err:
             errors.append(str(err))
     return dataclasses.replace(base, **top)
@@ -220,18 +222,15 @@ def write_sweep_csv(table: SweepTable, out_dir) -> Path:
     so re-deriving it from the emitted fields reproduces it exactly.
     """
     rows = ["case,layout,n_stops,dwell_s,packets,uav_energy_j,efficiency_pkt_per_kj,feasible"]
-    for placement, layout in table.cases:
-        for n_stops in table.stop_counts:
-            for dwell in table.dwells:
-                cell = table.cell(placement, layout, n_stops, dwell)
-                energy_text = _sig9(cell.total_uav_energy)
-                energy = float(energy_text)
-                eff = _per_kilojoule(cell.total_packets, energy) if energy > 0 else 0.0
-                rows.append(
-                    f"{placement},{layout},{n_stops},{_sig9(dwell)},"
-                    f"{cell.total_packets},{energy_text},{_sig9(eff)},"
-                    f"{'true' if cell.feasible else 'false'}"
-                )
+    for (placement, layout, n_stops, dwell), cell in table.cells.items():
+        energy_text = _sig9(cell.total_uav_energy)
+        energy = float(energy_text)
+        eff = _per_kilojoule(cell.total_packets, energy) if energy > 0 else 0.0
+        rows.append(
+            f"{placement},{layout},{n_stops},{_sig9(dwell)},"
+            f"{cell.total_packets},{energy_text},{_sig9(eff)},"
+            f"{'true' if cell.feasible else 'false'}"
+        )
     path = Path(out_dir) / "sweep.csv"
     _write_text(path, "\n".join(rows) + "\n")
     return path

@@ -271,7 +271,7 @@ def _value_errors(config: ScenarioConfig) -> list:
         if config.path_perimeter > 0.0 and _energy(config, 0, 0)[-1] / 1000.0 == 0.0:
             errors.append(
                 f"uav_flight_power: {config.uav_flight_power} W over one loop of "
-                f"{config.path_perimeter} m at {config.cruise_speed} m/s underflows to 0 J"
+                f"{config.path_perimeter} m at {config.cruise_speed} m/s underflows to 0 kJ"
             )
     return errors
 
@@ -279,10 +279,10 @@ def _value_errors(config: ScenarioConfig) -> list:
 def _standoff_rate(config: ScenarioConfig) -> float:
     """Boresight harvest rate at the standoff, which no visit can beat.
 
-    No sensor is nearer a stop than standoff; a rate beyond float range
-    overflows to inf.
+    No sensor is nearer a stop than standoff; a rate beyond float range,
+    or a free-space loss that underflows to log10(0), is inf.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         power = received_power(config.link, [config.standoff], [0.0])
     return float(harvest_rate(config.link, power)[0])
 

@@ -3,15 +3,16 @@ plus the derived metrics: efficiency, gain ratios, peak detection,
 and the two calibration solvers.
 
 A sweep runs case by case and holds each case's path, sensor field and
-stop plans itself. The value rules run per cell; the path, field and
-phase are built once per case, and the stop plans of all its stop
-counts come from batched arc inversions, each batch's charging pairs
-from one call of run_mission's pair kernel. Every plan serves all
-dwells of its stop count. The valid cells of a case then settle in
-one accounting pass with run_mission's own kernel, each cell's sensors
-under ids of their own. Cells are pure functions of (base config, cell
+stop plans itself. Each cell is checked in run_mission's order: the
+value rules, the geometry, whose path, field and phase are built once
+per case and whose stop plans come from batched arc inversions, and the
+packet bound. Only the stop counts that keep a cell are paired, each
+batch's charging pairs from one call of run_mission's pair kernel, and
+every plan serves all dwells of its stop count. The valid cells of a
+case then settle in one accounting pass with run_mission's own kernel,
+each cell's sensors under ids of their own. Cells are pure functions of (base config, cell
 coordinates), so cases can be spread over worker processes without
-changing a single output bit; the emitted ordering is fixed by the axes.
+changing a single output bit; each case keys its cells in axis order.
 """
 
 from __future__ import annotations
@@ -124,79 +125,82 @@ def _batches(stop_counts):
         yield batch
 
 
-def _stop_pairs(configs: list) -> dict:
-    """n_stops -> (geometry violations, charging sensors, rates).
+def _stop_pairs(configs: dict) -> dict:
+    """key -> (violations, charging sensors, rates) per cell, checked as
+    _checked checks a mission.
 
     configs are the cells of one case that pass the value rules. The
     path, field and phase are built once, at 0 stops, where the plan
     stage cannot fail; each stop count then adds its own plan's
-    violation, as _stages words it.
+    violation, as _stages words it, and a cell whose stages pass meets
+    the packet bound. Only the stop counts that keep a cell are paired.
     """
     if not configs:
         return {}
-    config = configs[0]
+    config = next(iter(configs.values()))
     errors, path, field, plan = _stages(dataclasses.replace(config, n_stops=0))
-    stop_counts = list(dict.fromkeys(c.n_stops for c in configs))
     if plan is None:  # no stop count gets as far as its plan
-        return dict.fromkeys(stop_counts, (errors, None, None))
+        return dict.fromkeys(configs, (errors, None, None))
+    by_stops = {}
+    for key, cell in configs.items():
+        by_stops.setdefault(cell.n_stops, []).append((key, cell))
     if config.placement == "p1":
         rule = partial(_facing_arcs, path, field)
     else:
         rule = partial(equidistant_arcs, path, phase=config.p2_phase)
-    result = {}
-    for batch in _batches(stop_counts):
+    result, best = {}, None
+    for batch in _batches(list(by_stops)):
         plans = _plans_at_arcs(path, [rule(k) if k else np.empty(0) for k in batch])
-        built = []
+        kept = []
         for n_stops, plan in zip(batch, plans):
             failed = errors + [f"n_stops: {plan}"] if isinstance(plan, ValueError) else errors
-            if failed:
-                result[n_stops] = (failed, None, None)
-            else:
-                built.append((n_stops, plan))
-        if not built:
+            if not failed and best is None:  # every cell has the base's link and standoff
+                best = _standoff_rate(config)
+            for key, cell in by_stops[n_stops]:
+                result[key] = (failed or _packet_bound(cell, best), None, None)
+            keys = [key for key, _ in by_stops[n_stops] if not result[key][0]]
+            if keys:
+                kept.append((plan, keys))
+        if not kept:
             continue
-        stops = np.concatenate([plan.positions for _, plan in built])
+        stops = np.concatenate([plan.positions for plan, _ in kept])
         stop, sensor, rate = _charging_pairs(config.link, field, stops)
-        offsets = np.cumsum([0] + [plan.n_stops for _, plan in built])
+        offsets = np.cumsum([0] + [plan.n_stops for plan, _ in kept])
         bounds = np.searchsorted(stop, offsets).tolist()
-        for (n_stops, _), a, b in zip(built, bounds, bounds[1:]):
-            result[n_stops] = ([], sensor[a:b], rate[a:b])
+        for (_, keys), a, b in zip(kept, bounds, bounds[1:]):
+            result.update(dict.fromkeys(keys, ([], sensor[a:b], rate[a:b])))
     return result
 
 
-def _sweep_case(case, base: ScenarioConfig, stop_counts: tuple, dwells: tuple) -> list:
-    """The cells of one case, in stop count then dwell order.
+def _sweep_case(case, base: ScenarioConfig, stop_counts: tuple, dwells: tuple) -> dict:
+    """The cells of one case keyed (placement, layout, n_stops, dwell), in
+    stop count then dwell order.
 
-    Each cell is checked by the rules validate_config states, the geometry
-    through _stop_pairs; an invalid cell carries run_mission's message.
-    The valid cells' sensors settle together: sensor i of the c-th valid
-    cell has id c * n_sensors + i, so no two cells share an account.
+    Each cell is checked as run_mission checks it, the value rules here and
+    the rest through _stop_pairs; an invalid cell carries run_mission's
+    message. The valid cells' sensors settle together: sensor i of the c-th
+    valid cell has id c * n_sensors + i, so no two cells share an account.
     """
     n = base.n_sensors
     placement, layout = case
-    grid = [
-        dataclasses.replace(base, placement=placement, layout=layout, n_stops=k, dwell_time=dwell)
+    base = dataclasses.replace(base, placement=placement, layout=layout)
+    grid = {
+        (placement, layout, k, dwell): dataclasses.replace(base, n_stops=k, dwell_time=dwell)
         for k in stop_counts
         for dwell in dwells
-    ]
-    checks = [_value_errors(config) for config in grid]
-    pairs = _stop_pairs([config for config, errors in zip(grid, checks) if not errors])
-    cells, valid, sensors, banked = [], [], [], []
-    best = None
-    for config, errors in zip(grid, checks):
-        if not errors:
-            errors, sensor, rate = pairs[config.n_stops]
-        if not errors:
-            if best is None:  # every cell has the base's link and standoff
-                best = _standoff_rate(config)
-            errors = _packet_bound(config, best)
+    }
+    checks = {key: _value_errors(config) for key, config in grid.items()}
+    pairs = _stop_pairs({key: grid[key] for key, errors in checks.items() if not errors})
+    cells, valid, sensors, banked = {}, [], [], []
+    for key, config in grid.items():
+        errors, sensor, rate = pairs.get(key, (checks[key], None, None))
         if errors:
-            cells.append(SweepCell(0, 0.0, 0.0, False, error=str(ConfigError(errors))))
+            cells[key] = SweepCell(0, 0.0, 0.0, False, error=str(ConfigError(errors)))
             continue
         sensors.append(sensor + len(valid) * n)
         banked.append(rate * (config.dwell_time * config.phase_split))
-        valid.append((len(cells), config))
-        cells.append(None)
+        valid.append((key, config))
+        cells[key] = None
     if valid:
         # accounts only for the sensors that charge, so memory follows the
         # pairs and not cells x sensors
@@ -204,9 +208,9 @@ def _sweep_case(case, base: ScenarioConfig, stop_counts: tuple, dwells: tuple) -
         _, _, packets, _ = _settle(account, np.concatenate(banked), ids.size, base.costs)
         totals = np.zeros(len(valid), dtype=np.int64)
         np.add.at(totals, ids // n, packets)
-        for (index, config), total_packets in zip(valid, totals.tolist()):
+        for (key, config), total_packets in zip(valid, totals.tolist()):
             energy = _energy(config, config.n_stops, total_packets)[-1]
-            cells[index] = SweepCell(
+            cells[key] = SweepCell(
                 total_packets=total_packets,
                 total_uav_energy=energy,
                 efficiency=_per_kilojoule(total_packets, energy),
@@ -243,18 +247,12 @@ def sweep(
             results = list(pool.map(run_case, cases))
     else:
         results = [run_case(case) for case in cases]
-    keys = [
-        (placement, layout, n_stops, dwell)
-        for placement, layout in cases
-        for n_stops in stop_counts
-        for dwell in dwells
-    ]
     return SweepTable(
         base=base,
         cases=cases,
         stop_counts=stop_counts,
         dwells=dwells,
-        cells=dict(zip(keys, (cell for cells in results for cell in cells))),
+        cells={key: cell for cells in results for key, cell in cells.items()},
     )
 
 
@@ -407,14 +405,12 @@ def calibrate_speed(stop_target: int, dwell: float, config: ScenarioConfig) -> f
     # billed WPT joules are flight-power seconds that the loop cannot have;
     # the speed is the unknown, so the config's own takes no part
     billed = dataclasses.replace(config, dwell_time=dwell, cruise_speed=math.inf)
-    loop_budget = (
-        math.floor(endurance(config))
-        - stop_target * dwell
-        - _energy(billed, stop_target, 0)[2] / config.uav_flight_power
-    )
+    dwell_budget = math.floor(endurance(config)) - stop_target * dwell
+    loop_budget = dwell_budget - _energy(billed, stop_target, 0)[2] / config.uav_flight_power
     if loop_budget <= 0:
+        bill = "" if dwell_budget <= 0 else " and their billed WPT"
         raise ValueError(
-            f"{stop_target} stops of {dwell} s exceed the endurance "
+            f"{stop_target} stops of {dwell} s{bill} exceed the endurance "
             f"{endurance(config):.2f} s; no speed can fit them"
         )
     return config.path_perimeter / loop_budget

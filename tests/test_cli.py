@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +87,18 @@ def test_all_problems_reported_at_once():
     assert len(info.value.errors) >= 2
 
 
+def test_every_rejected_link_and_cost_key_is_reported():
+    text = "frequency = -1\ntx_power = -1\ne_measurement = -1\ne_tx_packet = -2\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(text)
+    assert info.value.errors == (
+        "frequency must be positive, got -1.0",
+        "tx_power must be >= 0, got -1.0",
+        "e_measurement must be >= 0, got -1.0",
+        "e_tx_packet must be >= 0, got -2.0",
+    )
+
+
 def test_invariant_violations_surface_as_config_errors():
     with pytest.raises(ConfigError) as info:
         parse_config_text("layout = s9\n")
@@ -137,6 +151,13 @@ def test_config_echo_lists_every_key_once():
     assert echo["tx_power"] == DEFAULTS.link.tx_power
     assert echo["e_rx_packet"] == DEFAULTS.costs.e_rx_packet
     assert echo["layout"] == DEFAULTS.layout
+
+
+def test_readme_config_block_lists_every_default_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    assert parse_config_text(block) == DEFAULTS
+    assert tuple(line.split("=", 1)[0].strip() for line in block.splitlines()) == CONFIG_KEYS
 
 
 # --- artifacts ---

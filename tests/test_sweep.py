@@ -179,6 +179,33 @@ def test_stop_batches_stay_bounded_and_match_run_mission(monkeypatch):
         )
 
 
+def test_stop_counts_whose_cells_all_fail_the_packet_bound_are_not_paired(monkeypatch):
+    sweep_module = importlib.import_module("wpcnsim.sweep")
+    kernel, batch_stops = sweep_module._charging_pairs, []
+
+    def counted(link, field, stops):
+        batch_stops.append(stops.shape[0])
+        return kernel(link, field, stops)
+
+    # packets this small pass the 2**53 bound on short tours only: at 100
+    # stops no cell passes, so that plan is never paired
+    monkeypatch.setattr(sweep_module, "_charging_pairs", counted)
+    base = dataclasses.replace(DEFAULTS, costs=EnergyCosts(1e-13, 0.0, 0.01))
+    table = sweep(base, [4, 50, 100], [20.0, 70.0], [("p1", "s1")])
+    assert batch_stops == [54]
+    assert all("2**53" in table.cell("p1", "s1", 100, dwell).error for dwell in (20.0, 70.0))
+    for (_, _, n_stops, dwell), cell in table.cells.items():
+        config = dataclasses.replace(base, n_stops=n_stops, dwell_time=dwell)
+        try:
+            ledger = run_mission(config)
+        except ConfigError as err:
+            assert cell == SweepCell(0, 0.0, 0.0, False, error=str(err))
+            continue
+        assert cell == SweepCell(
+            ledger.total_packets, ledger.total_uav_energy, efficiency(ledger), ledger.feasible
+        )
+
+
 def test_a_plan_that_fails_fails_only_its_own_stop_count(monkeypatch):
     facing_arcs = importlib.import_module("wpcnsim.layout")._facing_arcs
 
@@ -311,6 +338,26 @@ def test_calibrate_speed_round_trips_through_max_stops(mode, stops, dwell):
     config = dataclasses.replace(DEFAULTS, wpt_draw_mode=mode)
     speed = calibrate_speed(stops, dwell, config)
     assert max_stops(dataclasses.replace(config, cruise_speed=speed), dwell) == stops
+
+
+def test_calibrate_speed_names_the_billed_wpt_that_overruns_the_endurance():
+    additional = dataclasses.replace(
+        DEFAULTS,
+        link=dataclasses.replace(DEFAULTS.link, tx_power=20.0),
+        wpt_draw_mode="additional",
+    )
+    # 83 x 20 s fit the 1680 s, but not with 83 x 10 s of 20 W on top
+    with pytest.raises(ValueError) as err:
+        calibrate_speed(83, 20.0, additional)
+    assert str(err.value) == (
+        "83 stops of 20.0 s and their billed WPT exceed the endurance 1680.56 s; "
+        "no speed can fit them"
+    )
+    with pytest.raises(ValueError) as err:
+        calibrate_speed(85, 20.0, DEFAULTS)
+    assert str(err.value) == (
+        "85 stops of 20.0 s exceed the endurance 1680.56 s; no speed can fit them"
+    )
 
 
 def test_calibrate_speed_rejects_impossible_targets():

@@ -56,6 +56,15 @@ CRASH_CONFIGS = {
     # a mission energy above 0 J whose kilojoules, which efficiency divides by, are 0
     "flight-kilojoules-underflow": {"uav_flight_power": 5e-324, "n_stops": 0},
     "wavelength-overflow": {"frequency": 1e-308},
+    # a finite wavelength so long that the free-space loss takes log10(0)
+    "free-space-loss-underflow": {
+        "frequency": 1.7e-300,
+        "path_perimeter": 1e-14,
+        "standoff": 1e-17,
+    },
+    # a boresight rate beyond float range, which the sweep must reject before pairing
+    "link-gain-overflow": {"tx_gain_dbi": 4000.0},
+    "tx-power-overflow": {"tx_power": 1e308, "tx_gain_dbi": 40.0},
     # a sized path whose speed at t = 0, which arc inversion divides by, is 0
     "path-speed-underflow": {
         "aspect_ratio": 2.5e149,
@@ -91,6 +100,18 @@ def test_crash_config_is_a_config_error(values, tmp_path, capsys):
 def test_crash_config_base_gives_sweep_error_cells(values):
     table = sweep(_override(DEFAULTS, **values), [4], [20.0], [("p2", "s2")])
     assert table.cell("p2", "s2", 4, 20.0).error
+
+
+@pytest.mark.parametrize("key", ["link-gain-overflow", "tx-power-overflow"])
+def test_zero_stop_base_with_an_overflowing_link_sweeps_to_error_cells(key, tmp_path, capsys):
+    # no packets at 0 stops, so the base passes; every swept stop count fails the bound
+    path = tmp_path / "base.cfg"
+    values = {**CRASH_CONFIGS[key], "n_stops": 0}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+    args = ["sweep", "--config", str(path), "--stops-range", "4:5", "--out", str(tmp_path)]
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert "16 cells (0 infeasible, 16 errors)" in out and err == ""
 
 
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
@@ -162,7 +183,7 @@ def test_flight_energy_underflow_leads_with_the_flight_power():
     config = dataclasses.replace(DEFAULTS, cruise_speed=1e300, uav_flight_power=1e-300)
     (message,) = validate_config(config)
     assert message == (
-        "uav_flight_power: 1e-300 W over one loop of 500.0 m at 1e+300 m/s underflows to 0 J"
+        "uav_flight_power: 1e-300 W over one loop of 500.0 m at 1e+300 m/s underflows to 0 kJ"
     )
 
 
