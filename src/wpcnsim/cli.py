@@ -177,7 +177,8 @@ def _parse_dwells(text: str):
         raise ConfigError(
             [f"--dwells {text!r}: expected comma-separated numbers"]
         ) from None
-    if len(set(dwells)) < len(dwells):
+    # no NaN equals itself, so every NaN counts as the one value None
+    if len({None if t != t else t for t in dwells}) < len(dwells):
         raise ConfigError([f"--dwells {text!r}: each dwell may appear only once"])
     return dwells
 

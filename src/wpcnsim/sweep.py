@@ -2,17 +2,17 @@
 plus the derived metrics: efficiency, gain ratios, peak detection,
 and the two calibration solvers.
 
-A sweep runs case by case and holds each case's path, sensor field and
-stop plans itself. Each cell is checked in run_mission's order: the
-value rules, the geometry, whose path, field and phase are built once
-per case and whose stop plans come from batched arc inversions, and the
-packet bound. Only the stop counts that keep a cell are paired, each
-batch's charging pairs from one call of run_mission's pair kernel, and
-every plan serves all dwells of its stop count. The valid cells of a
-case then settle in one accounting pass with run_mission's own kernel,
-each cell's sensors under ids of their own. Cells are pure functions of (base config, cell
-coordinates), so cases can be spread over worker processes without
-changing a single output bit; each case keys its cells in axis order.
+A sweep runs case by case, in one pass over each case's cells in axis
+order, with run_mission's checks in run_mission's order. First each
+cell's value rules; then the case's path, sensor field and phase, built
+once at 0 stops; then, per batch of stop counts, the plans from one arc
+inversion, each cell's plan violation or else its packet bound, and one
+call of run_mission's pair kernel on the plans that keep a cell, every
+plan serving all dwells of its stop count; last, the invalid cells take
+run_mission's message and the valid ones settle in one pass of its own
+accounting, each cell's sensors under ids of their own. Cells are pure
+functions of (base config, cell coordinates), so cases can be spread
+over worker processes without changing a single output bit.
 """
 
 from __future__ import annotations
@@ -125,82 +125,66 @@ def _batches(stop_counts):
         yield batch
 
 
-def _stop_pairs(configs: dict) -> dict:
-    """key -> (violations, charging sensors, rates) per cell, checked as
-    _checked checks a mission.
+def _sweep_case(case, base: ScenarioConfig, stop_counts: tuple, dwells: tuple) -> dict:
+    """The cells of one case keyed (placement, layout, n_stops, dwell), in
+    stop count then dwell order, each checked as run_mission checks it.
 
-    configs are the cells of one case that pass the value rules. The
-    path, field and phase are built once, at 0 stops, where the plan
-    stage cannot fail; each stop count then adds its own plan's
-    violation, as _stages words it, and a cell whose stages pass meets
-    the packet bound. Only the stop counts that keep a cell are paired.
+    One pass, top to bottom: (1) each cell's value rules; (2) the case's
+    path, field and phase, built once at 0 stops, where the plan stage
+    cannot fail; (3) per batch of stop counts, each plan's violation as
+    _stages words it, or else the packet bound, then one pairing of the
+    plans that keep a cell; (4) the invalid cells take run_mission's
+    message and the valid ones settle together, sensor i of the c-th
+    valid cell under id c * n_sensors + i, so no two cells share an account.
     """
-    if not configs:
-        return {}
-    config = next(iter(configs.values()))
-    errors, path, field, plan = _stages(dataclasses.replace(config, n_stops=0))
+    n = base.n_sensors
+    placement, layout = case
+    base = dataclasses.replace(base, placement=placement, layout=layout)
+    cells, by_stops = {}, {}
+    for k in stop_counts:
+        for dwell in dwells:
+            key = (placement, layout, k, dwell)
+            config = dataclasses.replace(base, n_stops=k, dwell_time=dwell)
+            cells[key] = _value_errors(config)
+            if not cells[key]:
+                by_stops.setdefault(k, []).append((key, config))
+    errors, plan = [], None
+    if by_stops:
+        errors, path, field, plan = _stages(dataclasses.replace(base, n_stops=0))
     if plan is None:  # no stop count gets as far as its plan
-        return dict.fromkeys(configs, (errors, None, None))
-    by_stops = {}
-    for key, cell in configs.items():
-        by_stops.setdefault(cell.n_stops, []).append((key, cell))
-    if config.placement == "p1":
+        cells.update((key, errors) for group in by_stops.values() for key, _ in group)
+        by_stops = {}
+    elif placement == "p1":
         rule = partial(_facing_arcs, path, field)
     else:
-        rule = partial(equidistant_arcs, path, phase=config.p2_phase)
-    result, best = {}, None
+        rule = partial(equidistant_arcs, path, phase=base.p2_phase)
+    best, valid, sensors, banked = None, [], [], []
     for batch in _batches(list(by_stops)):
         plans = _plans_at_arcs(path, [rule(k) if k else np.empty(0) for k in batch])
         kept = []
         for n_stops, plan in zip(batch, plans):
             failed = errors + [f"n_stops: {plan}"] if isinstance(plan, ValueError) else errors
             if not failed and best is None:  # every cell has the base's link and standoff
-                best = _standoff_rate(config)
-            for key, cell in by_stops[n_stops]:
-                result[key] = (failed or _packet_bound(cell, best), None, None)
-            keys = [key for key, _ in by_stops[n_stops] if not result[key][0]]
-            if keys:
-                kept.append((plan, keys))
+                best = _standoff_rate(base)
+            for key, config in by_stops[n_stops]:
+                cells[key] = failed or _packet_bound(config, best)
+            group = [(key, config) for key, config in by_stops[n_stops] if not cells[key]]
+            if group:
+                kept.append((plan, group))
         if not kept:
             continue
         stops = np.concatenate([plan.positions for plan, _ in kept])
-        stop, sensor, rate = _charging_pairs(config.link, field, stops)
+        stop, sensor, rate = _charging_pairs(base.link, field, stops)
         offsets = np.cumsum([0] + [plan.n_stops for plan, _ in kept])
         bounds = np.searchsorted(stop, offsets).tolist()
-        for (_, keys), a, b in zip(kept, bounds, bounds[1:]):
-            result.update(dict.fromkeys(keys, ([], sensor[a:b], rate[a:b])))
-    return result
-
-
-def _sweep_case(case, base: ScenarioConfig, stop_counts: tuple, dwells: tuple) -> dict:
-    """The cells of one case keyed (placement, layout, n_stops, dwell), in
-    stop count then dwell order.
-
-    Each cell is checked as run_mission checks it, the value rules here and
-    the rest through _stop_pairs; an invalid cell carries run_mission's
-    message. The valid cells' sensors settle together: sensor i of the c-th
-    valid cell has id c * n_sensors + i, so no two cells share an account.
-    """
-    n = base.n_sensors
-    placement, layout = case
-    base = dataclasses.replace(base, placement=placement, layout=layout)
-    grid = {
-        (placement, layout, k, dwell): dataclasses.replace(base, n_stops=k, dwell_time=dwell)
-        for k in stop_counts
-        for dwell in dwells
-    }
-    checks = {key: _value_errors(config) for key, config in grid.items()}
-    pairs = _stop_pairs({key: grid[key] for key, errors in checks.items() if not errors})
-    cells, valid, sensors, banked = {}, [], [], []
-    for key, config in grid.items():
-        errors, sensor, rate = pairs.get(key, (checks[key], None, None))
-        if errors:
-            cells[key] = SweepCell(0, 0.0, 0.0, False, error=str(ConfigError(errors)))
-            continue
-        sensors.append(sensor + len(valid) * n)
-        banked.append(rate * (config.dwell_time * config.phase_split))
-        valid.append((key, config))
-        cells[key] = None
+        for (_, group), a, b in zip(kept, bounds, bounds[1:]):
+            for key, config in group:
+                sensors.append(sensor[a:b] + len(valid) * n)
+                banked.append(rate[a:b] * (config.dwell_time * config.phase_split))
+                valid.append((key, config))
+    for key, violations in cells.items():
+        if violations:
+            cells[key] = SweepCell(0, 0.0, 0.0, False, error=str(ConfigError(violations)))
     if valid:
         # accounts only for the sensors that charge, so memory follows the
         # pairs and not cells x sensors
@@ -239,7 +223,8 @@ def sweep(
     if not all(axes.values()):
         raise ValueError("stop_counts, dwells, and cases must be non-empty")
     for name, axis in axes.items():
-        if len(set(axis)) < len(axis):
+        # no NaN equals itself, so every NaN counts as the one value None
+        if len({None if t != t else t for t in axis}) < len(axis):
             raise ValueError(f"{name} repeats a value: {axis}")
     run_case = partial(_sweep_case, base=base, stop_counts=stop_counts, dwells=dwells)
     if workers > 1:

@@ -327,10 +327,13 @@ def test_cli_config_file_applies(capsys, tmp_path):
     assert "feasible true" in capsys.readouterr().out
 
 
-def test_cli_unwritable_out_dir_exit_code(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["sweep", "--stops-range", "4:4"]], ids=["simulate", "sweep"]
+)
+def test_cli_unwritable_out_dir_exit_code(capsys, tmp_path, command):
     blocker = tmp_path / "file.txt"
     blocker.write_text("x")
-    code = main(["simulate", "--out", str(blocker / "sub")])
+    code = main([*command, "--out", str(blocker / "sub")])
     assert code == 4
     assert "cannot write" in capsys.readouterr().err
 
@@ -441,6 +444,17 @@ def test_cli_sweep_rejects_repeated_dwells(capsys, tmp_path):
     assert main(args) == 2
     assert "--dwells '20,20.0': each dwell may appear only once" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_sweep_counts_every_nan_dwell_as_one_value(capsys, tmp_path):
+    out = tmp_path / "sw"
+    args = ["sweep", "--out", str(out), "--stops-range", "4:5", "--case", "p1s1"]
+    assert main([*args, "--dwells", "nan,nan"]) == 2
+    assert "--dwells 'nan,nan': each dwell may appear only once" in capsys.readouterr().err
+    assert not out.exists()
+    # a single NaN dwell is one value, and its cells are error cells
+    assert main([*args, "--dwells", "nan"]) == 0
+    assert "2 cells (0 infeasible, 2 errors)" in capsys.readouterr().out
 
 
 def test_cli_simulate_invalid_override_exit_code(capsys):

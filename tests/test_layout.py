@@ -6,6 +6,7 @@ import pytest
 from wpcnsim import ellipse_from_perimeter
 from wpcnsim.geometry import equidistant_arcs
 from wpcnsim.layout import (
+    SensorField,
     StopPlan,
     _facing_arcs,
     _plans_at_arcs,
@@ -137,6 +138,13 @@ def test_zero_stop_plans_are_empty():
 def test_stop_plan_rejects_unsorted_arcs():
     with pytest.raises(ValueError):
         StopPlan(np.array([5.0, 1.0]), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="inconsistent stop array shapes"):
+        StopPlan(np.array([1.0, 5.0]), np.zeros((3, 2)))
+    arcs, points, ids = np.zeros(2), np.zeros((2, 2)), np.zeros(2, dtype=int)
+    with pytest.raises(ValueError, match="inconsistent sensor array shapes"):
+        SensorField(arcs, np.zeros((2, 3)), points, ids)
+    with pytest.raises(ValueError, match="inconsistent sensor array shapes"):
+        SensorField(arcs, points, points, np.zeros(3, dtype=int))
 
 
 def test_negative_stop_count_rejected():

@@ -18,6 +18,7 @@ from wpcnsim.mission import (
     simulate_tour,
     validate_config,
 )
+from wpcnsim.sweep import sweep
 
 DEFAULTS = ScenarioConfig()
 REFERENCE = dataclasses.replace(DEFAULTS, n_stops=80, dwell_time=20.0)
@@ -43,6 +44,10 @@ def test_max_stops_reference_values():
     assert max_stops(DEFAULTS, endurance(DEFAULTS)) == 0
     broke = dataclasses.replace(DEFAULTS, uav_battery=10000.0)
     assert max_stops(broke, 20.0) == 0
+    with pytest.raises(ValueError, match=r"^dwell must be > 0, got 0\.0$"):
+        max_stops(DEFAULTS, 0.0)
+    with pytest.raises(ValueError, match=r"^cruise_speed must be > 0, got -1\.0$"):
+        max_stops(dataclasses.replace(DEFAULTS, cruise_speed=-1.0), 20.0)
 
 
 def test_max_stops_with_separate_transmitter_draw():
@@ -258,6 +263,18 @@ def test_validate_config_reports_every_violation():
     with pytest.raises(ConfigError) as excinfo:
         run_mission(broken)
     assert excinfo.value.errors == tuple(errors)
+    broken = dataclasses.replace(
+        DEFAULTS, wpt_draw_mode="both", n_sensors=0, uav_battery=-1.0, cruise_speed=0.0
+    )
+    errors = [
+        "wpt_draw_mode must be included or additional, got 'both'",
+        "n_sensors must be >= 1, got 0",
+        "uav_battery must be >= 0, got -1.0",
+        "cruise_speed must be > 0, got 0.0",
+    ]
+    assert validate_config(broken) == errors
+    table = sweep(broken, [4, 5], [20.0], [("p2", "s2")])
+    assert {cell.error for cell in table.cells.values()} == {str(ConfigError(errors))}
 
 
 def test_validate_config_geometry_bounds():

@@ -168,6 +168,8 @@ def test_packets_rejects_bad_inputs():
         packets_supported(-0.01, COSTS)
     with pytest.raises(ValueError):
         packets_supported(0.1, EnergyCosts(0.0, 0.0, 0.01))
+    with pytest.raises(ValueError, match="does not fit int64"):
+        packets_supported(np.array([1.0, 1e300]), COSTS)
 
 
 def test_max_harvest_range_reference_value():

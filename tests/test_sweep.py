@@ -96,6 +96,15 @@ def test_sweep_rejects_repeated_axis_values():
         sweep(DEFAULTS, [4], [20.0], [("p1", "s1"), ("p1", "s1")])
 
 
+def test_sweep_counts_every_nan_dwell_as_one_value():
+    # float("nan") makes a new object each call, and no NaN equals another
+    with pytest.raises(ValueError, match="dwells repeats"):
+        sweep(DEFAULTS, [4], [float("nan"), float("nan")], [("p1", "s1")])
+    table = sweep(DEFAULTS, [4], [float("nan")], [("p1", "s1")])
+    (cell,) = table.cells.values()
+    assert "dwell_time must be finite, got nan" in cell.error
+
+
 def _random_grid(rng):
     """A base config that is valid on single values, and axes to sweep it over.
 
