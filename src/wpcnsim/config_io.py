@@ -159,6 +159,12 @@ def _sig9(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _dwell_text(dwell: float) -> str:
+    """Nine digits of a dwell, or its repr where nine digits read back as another."""
+    text = _sig9(dwell)
+    return text if float(text) == dwell else repr(dwell)
+
+
 def _write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -227,7 +233,7 @@ def write_sweep_csv(table: SweepTable, out_dir) -> Path:
         energy = float(energy_text)
         eff = _per_kilojoule(cell.total_packets, energy) if energy > 0 else 0.0
         rows.append(
-            f"{placement},{layout},{n_stops},{_sig9(dwell)},"
+            f"{placement},{layout},{n_stops},{_dwell_text(dwell)},"
             f"{cell.total_packets},{energy_text},{_sig9(eff)},"
             f"{'true' if cell.feasible else 'false'}"
         )
@@ -266,7 +272,7 @@ def write_sweep_summary(table: SweepTable, out_dir) -> Path:
             curve = efficiency_curve(table, placement, layout, dwell)
             if len(curve) >= 3:
                 idx, interior = find_peak(curve)
-                peaks[f"{placement}{layout}_t{dwell:g}"] = {
+                peaks[f"{placement}{layout}_t{_dwell_text(dwell)}"] = {
                     "n_stops": curve[idx][0],
                     "efficiency_pkt_per_kj": curve[idx][1],
                     "interior": interior,

@@ -63,6 +63,11 @@ class SensorField:
         return self.arc_coords.shape[0]
 
 
+def _stop_arcs_error(arcs: np.ndarray) -> str:
+    """The violation of a stop plan's arcs, "" when they strictly increase."""
+    return "" if np.all(np.diff(arcs) > 0.0) else "stop arcs must be strictly increasing"
+
+
 @dataclass(frozen=True, eq=False)
 class StopPlan:
     """Hover stops on the flight path, in travel (ascending arc) order.
@@ -78,8 +83,9 @@ class StopPlan:
         k = self.arc_coords.shape[0]
         if self.positions.shape != (k, 2):
             raise ValueError("inconsistent stop array shapes")
-        if k and not np.all(np.diff(self.arc_coords) > 0.0):
-            raise ValueError("stop arcs must be strictly increasing")
+        error = _stop_arcs_error(self.arc_coords)
+        if error:
+            raise ValueError(error)
         self.arc_coords.setflags(write=False)
         self.positions.setflags(write=False)
 
@@ -160,30 +166,13 @@ def _target_arcs(field: SensorField, perimeter: float) -> np.ndarray:
     return np.sort(arcs)
 
 
-def _plans_at_arcs(path: EllipseSpec, arc_sets) -> list:
-    """One StopPlan per arc set, or the ValueError that building it raised.
-
-    The union of the sets is inverted once: poses_at_arcs works arc by
-    arc, so every plan gets the positions its own inversion would give.
+def _stop_positions(path: EllipseSpec, arc_sets) -> np.ndarray:
+    """Stop positions of the concatenated arc sets, from one inversion of
+    their union: poses_at_arcs works arc by arc, so every set gets the
+    positions its own inversion would give.
     """
     union, inverse = np.unique(np.concatenate(arc_sets), return_inverse=True)
-    positions = poses_at_arcs(path, union)[0][inverse]
-    plans, start = [], 0
-    for arcs in arc_sets:
-        end = start + arcs.shape[0]
-        try:
-            plans.append(StopPlan(arcs, positions[start:end]))
-        except ValueError as err:
-            plans.append(err)
-        start = end
-    return plans
-
-
-def _plan_at_arcs(path: EllipseSpec, arcs: np.ndarray) -> StopPlan:
-    (plan,) = _plans_at_arcs(path, [arcs])
-    if isinstance(plan, ValueError):
-        raise plan
-    return plan
+    return poses_at_arcs(path, union)[0][inverse]
 
 
 def _facing_arcs(path: EllipseSpec, field: SensorField, n_stops: int) -> np.ndarray:
@@ -216,7 +205,7 @@ def place_stops_facing(path: EllipseSpec, field: SensorField, n_stops: int) -> S
     if n_stops < 0:
         raise ValueError(f"n_stops must be >= 0, got {n_stops}")
     arcs = _facing_arcs(path, field, n_stops) if n_stops else np.empty(0)
-    return _plan_at_arcs(path, arcs)
+    return StopPlan(arcs, poses_at_arcs(path, arcs)[0])
 
 
 @lru_cache(maxsize=256)
@@ -225,4 +214,4 @@ def place_stops_equal_arcs(path: EllipseSpec, n_stops: int, phase: float = 0.0) 
     if n_stops < 0:
         raise ValueError(f"n_stops must be >= 0, got {n_stops}")
     arcs = equidistant_arcs(path, n_stops, phase) if n_stops else np.empty(0)
-    return _plan_at_arcs(path, arcs)
+    return StopPlan(arcs, poses_at_arcs(path, arcs)[0])

@@ -288,10 +288,11 @@ def _standoff_rate(config: ScenarioConfig) -> float:
 
 
 def _packet_bound(config: ScenarioConfig, best: float) -> list:
-    """The violation of a mission that could count past 2**53 packets, if any.
-
-    best is _standoff_rate(config); above 2**53 packets, float arithmetic
-    loses whole packets.
+    """The violation of a mission that could count past 2**53 packets, where
+    float arithmetic loses whole packets, or whose efficiency could leave
+    float range, if any. best is _standoff_rate(config); no mission spends
+    less than a zero-stop one that receives its packets, and the factor 2
+    covers the CSV's efficiency from nine-digit energies.
     """
     unit = config.costs.packet_unit
     charge = config.n_sensors * config.n_stops * config.dwell_time * config.phase_split
@@ -300,6 +301,13 @@ def _packet_bound(config: ScenarioConfig, best: float) -> list:
         return [
             f"a mission could count up to {bound:.3g} packets of e_measurement + "
             f"e_tx_packet = {unit} J, beyond the 2**53 that floats count exactly"
+        ]
+    kilojoules = _energy(config, 0, bound)[-1] / 1000.0
+    if 2.0 * bound / kilojoules == math.inf:
+        return [
+            f"uav_flight_power: {config.uav_flight_power} W over one loop of "
+            f"{config.path_perimeter} m at {config.cruise_speed} m/s, with the receipt of up to "
+            f"{bound:.3g} packets, spends {kilojoules:.3g} kJ, too little for a finite efficiency"
         ]
     return []
 

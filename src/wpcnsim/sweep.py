@@ -2,13 +2,14 @@
 plus the derived metrics: efficiency, gain ratios, peak detection,
 and the two calibration solvers.
 
-A sweep runs case by case, in one pass over each case's cells in axis
-order, with run_mission's checks in run_mission's order. First each
-cell's value rules; then the case's path, sensor field and phase, built
-once at 0 stops; then, per batch of stop counts, the plans from one arc
-inversion, each cell's plan violation or else its packet bound, and one
-call of run_mission's pair kernel on the plans that keep a cell, every
-plan serving all dwells of its stop count; last, the invalid cells take
+A sweep runs case by case, checking each case's cells in axis order with
+run_mission's checks in run_mission's order. First each cell's value
+rules; then the case's path, sensor field and phase, built once at 0
+stops. Then two passes over the stop counts: the first words each stop
+count's plan violation from its arcs alone, or else applies each cell's
+packet bound; the second inverts only the plans that keep a cell, one arc
+inversion and one call of run_mission's pair kernel per batch, every plan
+serving all dwells of its stop count. Last, the invalid cells take
 run_mission's message and the valid ones settle in one pass of its own
 accounting, each cell's sensors under ids of their own. Cells are pure
 functions of (base config, cell coordinates), so cases can be spread
@@ -40,7 +41,7 @@ from wpcnsim.mission import (
     run_mission,  # noqa: F401 -- wpcnbench/tracing.py wraps sweep.run_mission
 )
 from wpcnsim.geometry import equidistant_arcs
-from wpcnsim.layout import _facing_arcs, _plans_at_arcs
+from wpcnsim.layout import _facing_arcs, _stop_arcs_error, _stop_positions
 from wpcnsim.rf_link import received_power
 
 __all__ = [
@@ -111,16 +112,16 @@ def _per_kilojoule(packets: int, energy: float) -> float:
     return packets / (energy / 1000.0)
 
 
-def _batches(stop_counts):
-    """Consecutive runs of stop counts holding at most _BATCH_STOPS stops;
-    a larger single count forms a batch of its own."""
+def _batches(plans):
+    """Consecutive runs of (arcs, cells) plans holding at most _BATCH_STOPS
+    stops; a larger single plan forms a batch of its own."""
     batch, size = [], 0
-    for n_stops in stop_counts:
-        if batch and size + n_stops > _BATCH_STOPS:
+    for plan in plans:
+        if batch and size + plan[0].size > _BATCH_STOPS:
             yield batch
             batch, size = [], 0
-        batch.append(n_stops)
-        size += n_stops
+        batch.append(plan)
+        size += plan[0].size
     if batch:
         yield batch
 
@@ -129,13 +130,14 @@ def _sweep_case(case, base: ScenarioConfig, stop_counts: tuple, dwells: tuple) -
     """The cells of one case keyed (placement, layout, n_stops, dwell), in
     stop count then dwell order, each checked as run_mission checks it.
 
-    One pass, top to bottom: (1) each cell's value rules; (2) the case's
-    path, field and phase, built once at 0 stops, where the plan stage
-    cannot fail; (3) per batch of stop counts, each plan's violation as
-    _stages words it, or else the packet bound, then one pairing of the
-    plans that keep a cell; (4) the invalid cells take run_mission's
-    message and the valid ones settle together, sensor i of the c-th
-    valid cell under id c * n_sensors + i, so no two cells share an account.
+    Top to bottom: (1) each cell's value rules; (2) the case's path, field
+    and phase, built once at 0 stops, where the plan stage cannot fail;
+    (3) per stop count, its plan's violation from its arcs, as _stages
+    words it, or else each cell's packet bound; (4) per batch of the plans
+    that keep a cell, one inversion of their arcs and one pairing; (5) the
+    invalid cells take run_mission's message and the valid ones settle
+    together, sensor i of the c-th valid cell under id c * n_sensors + i,
+    so no two cells share an account.
     """
     n = base.n_sensors
     placement, layout = case
@@ -158,26 +160,24 @@ def _sweep_case(case, base: ScenarioConfig, stop_counts: tuple, dwells: tuple) -
         rule = partial(_facing_arcs, path, field)
     else:
         rule = partial(equidistant_arcs, path, phase=base.p2_phase)
-    best, valid, sensors, banked = None, [], [], []
-    for batch in _batches(list(by_stops)):
-        plans = _plans_at_arcs(path, [rule(k) if k else np.empty(0) for k in batch])
-        kept = []
-        for n_stops, plan in zip(batch, plans):
-            failed = errors + [f"n_stops: {plan}"] if isinstance(plan, ValueError) else errors
-            if not failed and best is None:  # every cell has the base's link and standoff
-                best = _standoff_rate(base)
-            for key, config in by_stops[n_stops]:
-                cells[key] = failed or _packet_bound(config, best)
-            group = [(key, config) for key, config in by_stops[n_stops] if not cells[key]]
-            if group:
-                kept.append((plan, group))
-        if not kept:
-            continue
-        stops = np.concatenate([plan.positions for plan, _ in kept])
-        stop, sensor, rate = _charging_pairs(base.link, field, stops)
-        offsets = np.cumsum([0] + [plan.n_stops for plan, _ in kept])
-        bounds = np.searchsorted(stop, offsets).tolist()
-        for (_, group), a, b in zip(kept, bounds, bounds[1:]):
+    best, plans = None, []
+    for n_stops, group in by_stops.items():
+        arcs = rule(n_stops) if n_stops else np.empty(0)
+        violation = _stop_arcs_error(arcs)
+        failed = errors + [f"n_stops: {violation}"] if violation else errors
+        if not failed and best is None:  # every cell has the base's link and standoff
+            best = _standoff_rate(base)
+        for key, config in group:
+            cells[key] = failed or _packet_bound(config, best)
+        group = [(key, config) for key, config in group if not cells[key]]
+        if group:
+            plans.append((arcs, group))
+    valid, sensors, banked = [], [], []
+    for batch in _batches(plans):
+        arc_sets = [arcs for arcs, _ in batch]
+        stop, sensor, rate = _charging_pairs(base.link, field, _stop_positions(path, arc_sets))
+        bounds = np.searchsorted(stop, np.cumsum([0] + [arcs.size for arcs in arc_sets])).tolist()
+        for (_, group), a, b in zip(batch, bounds, bounds[1:]):
             for key, config in group:
                 sensors.append(sensor[a:b] + len(valid) * n)
                 banked.append(rate[a:b] * (config.dwell_time * config.phase_split))

@@ -25,7 +25,8 @@ print(json.dumps(tracer.report(out / "trace.json")["counts"]))
 
 def test_tracer_installs_and_counts_a_mission_and_a_sweep(tmp_path):
     result = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "wpcnbench"), str(ROOT / "src"), str(tmp_path)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", SCRIPT]
+        + [str(ROOT / "wpcnbench"), str(ROOT / "src"), str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=60,

@@ -457,6 +457,17 @@ def test_cli_sweep_counts_every_nan_dwell_as_one_value(capsys, tmp_path):
     assert "2 cells (0 infeasible, 2 errors)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("near", ["20.0000001", "20.0000000001"])
+def test_cli_sweep_keeps_dwells_that_print_alike_apart(near, capsys, tmp_path):
+    args = ["sweep", "--out", str(tmp_path), "--stops-range", "4:6", "--case", "p1s1"]
+    assert main([*args, "--dwells", f"20,{near}"]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["20", near] * 3
+    peaks = json.loads((tmp_path / "summary.json").read_text())["peaks"]
+    assert sorted(peaks) == ["p1s1_t20", f"p1s1_t{near}"]
+
+
 def test_cli_simulate_invalid_override_exit_code(capsys):
     assert main(["simulate", "--stops", "-5", "--dwell", "0"]) == 2
     assert capsys.readouterr().err == (

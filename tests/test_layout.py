@@ -9,7 +9,7 @@ from wpcnsim.layout import (
     SensorField,
     StopPlan,
     _facing_arcs,
-    _plans_at_arcs,
+    _stop_positions,
     _target_arcs,
     place_sensors_even,
     place_sensors_paired,
@@ -136,8 +136,9 @@ def test_zero_stop_plans_are_empty():
 
 
 def test_stop_plan_rejects_unsorted_arcs():
-    with pytest.raises(ValueError):
-        StopPlan(np.array([5.0, 1.0]), np.zeros((2, 2)))
+    for arcs in ([5.0, 1.0], [3.0, 3.0]):
+        with pytest.raises(ValueError, match="stop arcs must be strictly increasing"):
+            StopPlan(np.array(arcs), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="inconsistent stop array shapes"):
         StopPlan(np.array([1.0, 5.0]), np.zeros((3, 2)))
     arcs, points, ids = np.zeros(2), np.zeros((2, 2)), np.zeros(2, dtype=int)
@@ -161,11 +162,13 @@ def test_layouts_are_cached():
     assert place_stops_facing(PATH, field, 50) is place_stops_facing(PATH, field, 50)
 
 
-def _assert_same_plans(batched, placed):
-    assert len(batched) == len(placed)
-    for one, other in zip(batched, placed):
-        assert np.array_equal(one.arc_coords, other.arc_coords)
-        assert np.array_equal(one.positions, other.positions)
+def _assert_same_positions(path, arc_sets, placed):
+    positions = _stop_positions(path, arc_sets)
+    ends = np.cumsum([arcs.size for arcs in arc_sets]).tolist()
+    assert len(positions) == ends[-1]
+    for arcs, plan, a, b in zip(arc_sets, placed, [0] + ends, ends):
+        assert np.array_equal(arcs, plan.arc_coords)
+        assert np.array_equal(positions[a:b], plan.positions)
 
 
 @pytest.mark.parametrize("aspect", [1.0, 5.0, 37.0])
@@ -181,10 +184,11 @@ def test_batched_facing_plans_match_the_placer(aspect):
     for field in fields:
         m = int(field.cluster_ids.max()) + 1
         counts = range(0, 2 * m + 9)  # past 2m, where gaps take several extras
-        batched = _plans_at_arcs(
-            path, [_facing_arcs(path, field, k) if k else np.empty(0) for k in counts]
+        _assert_same_positions(
+            path,
+            [_facing_arcs(path, field, k) if k else np.empty(0) for k in counts],
+            [place_stops_facing(path, field, k) for k in counts],
         )
-        _assert_same_plans(batched, [place_stops_facing(path, field, k) for k in counts])
 
 
 def test_batched_equal_arc_plans_match_the_placer():
@@ -192,17 +196,11 @@ def test_batched_equal_arc_plans_match_the_placer():
     p = path.perimeter
     counts = [0, 1, 2, 3, 7, 50, 99, 100, 101, 1000]
     for phase in (0.0, 2.5, p / 3.0, p - 1e-9, np.nextafter(p, 0.0)):
-        batched = _plans_at_arcs(
-            path, [equidistant_arcs(path, k, phase) if k else np.empty(0) for k in counts]
+        _assert_same_positions(
+            path,
+            [equidistant_arcs(path, k, phase) if k else np.empty(0) for k in counts],
+            [place_stops_equal_arcs(path, k, phase) for k in counts],
         )
-        _assert_same_plans(batched, [place_stops_equal_arcs(path, k, phase) for k in counts])
-
-
-def test_batched_plans_return_a_bad_set_error_in_its_place():
-    plans = _plans_at_arcs(PATH, [np.array([1.0, 2.0]), np.array([3.0, 3.0]), np.empty(0)])
-    assert plans[0].n_stops == 2 and plans[2].n_stops == 0
-    assert isinstance(plans[1], ValueError)
-    assert "strictly increasing" in str(plans[1])
 
 
 def test_facing_arcs_split_each_gap_as_written():

@@ -196,12 +196,19 @@ def test_stop_counts_whose_cells_all_fail_the_packet_bound_are_not_paired(monkey
         batch_stops.append(stops.shape[0])
         return kernel(link, field, stops)
 
+    invert, inverted = sweep_module._stop_positions, []
+
+    def inversions(path, arc_sets):
+        inverted.append(sum(arcs.size for arcs in arc_sets))
+        return invert(path, arc_sets)
+
     # packets this small pass the 2**53 bound on short tours only: at 100
-    # stops no cell passes, so that plan is never paired
+    # stops no cell passes, so that plan is never inverted or paired
     monkeypatch.setattr(sweep_module, "_charging_pairs", counted)
+    monkeypatch.setattr(sweep_module, "_stop_positions", inversions)
     base = dataclasses.replace(DEFAULTS, costs=EnergyCosts(1e-13, 0.0, 0.01))
     table = sweep(base, [4, 50, 100], [20.0, 70.0], [("p1", "s1")])
-    assert batch_stops == [54]
+    assert batch_stops == [54] and inverted == [54]
     assert all("2**53" in table.cell("p1", "s1", 100, dwell).error for dwell in (20.0, 70.0))
     for (_, _, n_stops, dwell), cell in table.cells.items():
         config = dataclasses.replace(base, n_stops=n_stops, dwell_time=dwell)

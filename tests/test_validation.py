@@ -14,7 +14,7 @@ from wpcnsim.cli import main
 from wpcnsim.config_io import parse_config, parse_config_text
 from wpcnsim.geometry import ellipse_from_perimeter
 from wpcnsim.mission import ConfigError, ScenarioConfig, run_mission, validate_config
-from wpcnsim.sweep import sweep
+from wpcnsim.sweep import efficiency, sweep
 
 DEFAULTS = ScenarioConfig()
 
@@ -55,6 +55,8 @@ CRASH_CONFIGS = {
     "flight-energy-underflow": {"cruise_speed": 1e300, "uav_flight_power": 1e-300},
     # a mission energy above 0 J whose kilojoules, which efficiency divides by, are 0
     "flight-kilojoules-underflow": {"uav_flight_power": 5e-324, "n_stops": 0},
+    # kilojoules above 0 that a mission's packets divide past float range
+    "efficiency-overflow": {"uav_flight_power": 4e-323, "e_rx_packet": 0.0},
     "wavelength-overflow": {"frequency": 1e-308},
     # a finite wavelength so long that the free-space loss takes log10(0)
     "free-space-loss-underflow": {
@@ -185,6 +187,16 @@ def test_flight_energy_underflow_leads_with_the_flight_power():
     assert message == (
         "uav_flight_power: 1e-300 W over one loop of 500.0 m at 1e+300 m/s underflows to 0 kJ"
     )
+
+
+def test_an_efficiency_bound_counts_the_receive_cost_of_its_packets():
+    free = _override(DEFAULTS, **CRASH_CONFIGS["efficiency-overflow"])
+    (message,) = validate_config(free)
+    assert message.startswith("uav_flight_power: 4e-323 W over one loop of 500.0 m")
+    # each packet received costs the drone e_rx_packet, so the efficiency stays finite
+    billed = dataclasses.replace(free, costs=DEFAULTS.costs)
+    ledger = run_mission(billed)
+    assert ledger.total_packets > 0 and math.isfinite(efficiency(ledger))
 
 
 # --- property: acceptance and execution agree near every bound ---
