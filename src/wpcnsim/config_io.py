@@ -12,6 +12,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 from wpcnsim import __version__
@@ -190,34 +193,61 @@ _STOP = (
     '{\n      "charged": %s,\n      "delivered_j": %s,\n      "packets": %r,\n'
     '      "stop_id": %r\n    }'
 )
+_SENSOR_VALUES = attrgetter("harvested", "packets", "residual", "sensor_id", "spent")
+# records rendered and written at once, so the ledger's text is never held whole
+_WRITE_BLOCK = 512
 
 
-def _array(items, indent: str = "    ") -> str:
+def _array(items, indent: str) -> str:
     """A json array of rendered items, one per line at indent."""
     body = (",\n" + indent).join(items)
     return f"[\n{indent}{body}\n{indent[:-2]}]" if body else "[]"
 
 
-def write_mission_summary(ledger: MissionLedger, out_dir) -> Path:
-    """Full ledger with derived efficiency as summary.json."""
-    sensors = [
-        _SENSOR % (rec.harvested, rec.packets, rec.residual, rec.sensor_id, rec.spent)
-        for rec in ledger.per_sensor
-    ]
+def _stop_values(rec) -> tuple:
     item = " " * 8
-    stops = [
-        _STOP % (_array(map(repr, rec.charged), item), _array(map(repr, rec.delivered), item),
-                 rec.packets, rec.stop_id)
-        for rec in ledger.per_stop
-    ]
+    charged = _array(map(repr, rec.charged), item)
+    return charged, _array(map(repr, rec.delivered), item), rec.packets, rec.stop_id
+
+
+def _json_text(text: str) -> str:
+    # repr spells non-finite floats inf, -inf and nan, words that no key holds
+    return text.replace("inf", "Infinity").replace("nan", "NaN")
+
+
+def _write_records(fh, records, template: str, values) -> None:
+    """A json array of the records at indent 4, each block of them rendered
+    by one % of the template repeated, values(record) filling each copy."""
+    if not records:
+        fh.write("[]")
+        return
+    fh.write("[\n    ")
+    for start in range(0, len(records), _WRITE_BLOCK):
+        block = records[start : start + _WRITE_BLOCK]
+        text = ",\n    ".join([template] * len(block)) % tuple(chain(*map(values, block)))
+        if start:
+            fh.write(",\n    ")
+        fh.write(_json_text(text))
+    fh.write("\n  ]")
+
+
+def write_mission_summary(ledger: MissionLedger, out_dir) -> Path:
+    """Full ledger with derived efficiency as summary.json, rendered and
+    written block by block."""
+    # NUL, which no rendered number holds, marks the places of the two arrays
     text = _SUMMARY % (
         efficiency(ledger), "true" if ledger.feasible else "false", ledger.flight_energy,
-        ledger.hover_energy, ledger.mission_time, _array(sensors), _array(stops),
+        ledger.hover_energy, ledger.mission_time, "\0", "\0",
         ledger.rx_energy, ledger.total_packets, ledger.total_uav_energy, ledger.wpt_energy,
     )
+    head, middle, tail = _json_text(text).split("\0")
     path = Path(out_dir) / "summary.json"
-    # repr spells non-finite floats inf, -inf and nan, words that no key holds
-    _write_text(path, text.replace("inf", "Infinity").replace("nan", "NaN"))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head)
+        _write_records(fh, ledger.per_sensor, _SENSOR, _SENSOR_VALUES)
+        fh.write(middle)
+        _write_records(fh, ledger.per_stop, _STOP, _stop_values)
+        fh.write(tail)
     return path
 
 
@@ -281,7 +311,8 @@ def write_sweep_summary(table: SweepTable, out_dir) -> Path:
         "axes": {
             "cases": [p + s for p, s in table.cases],
             "stop_counts": list(table.stop_counts),
-            "dwells_s": list(table.dwells),
+            # json has no non-finite numbers: those take sweep.csv's spelling
+            "dwells_s": [t if math.isfinite(t) else _dwell_text(t) for t in table.dwells],
         },
         "n_cells": len(table.cells),
         "n_feasible": sum(1 for c in cells if c.feasible),

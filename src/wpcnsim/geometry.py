@@ -21,7 +21,19 @@ _TWO_PI = 2.0 * math.pi
 # grid: 2048 panels of 16-point Gauss-Legendre hold machine precision for
 # any valid aspect ratio, so arc inversions never re-integrate from zero.
 _PANELS = 2048
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# np.polynomial.legendre.leggauss(16), whose nodes and weights are exactly
+# mirrored about 0: the positive half, written out so that no call needs
+# numpy.polynomial imported
+_GL_HALF_NODES = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_GL_HALF_WEIGHTS = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+)
+_GL_NODES = np.concatenate((-np.array(_GL_HALF_NODES[::-1]), _GL_HALF_NODES))
+_GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
 # The node grid is the same for every ellipse, so only its sin and cos and
 # the panel half-width are kept, and every table is built from them.
 _edges = np.linspace(0.0, _TWO_PI, _PANELS + 1)

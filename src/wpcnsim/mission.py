@@ -66,6 +66,9 @@ _DEFAULT_LINK = LinkParams(
 
 _DEFAULT_COSTS = EnergyCosts(e_measurement=0.01, e_tx_packet=0.01, e_rx_packet=0.01)
 
+# most x-window candidates the pair kernel evaluates at once
+_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -371,7 +374,10 @@ def _charging_pairs(link: LinkParams, field: SensorField, stops: np.ndarray):
 
     Only sensors within the boresight harvest reach of a stop can charge
     there, so each stop's candidates are the window |dx| <= reach on the
-    sensors sorted by x; the exact budget runs on those rows alone.
+    sensors sorted by x. Consecutive stops are evaluated in blocks of at
+    most _BLOCK candidates (a stop whose window alone is larger forms its
+    own block), so the memory beyond the charging pairs stays bounded; in
+    a block, the exact budget runs on the candidates within reach alone.
     """
     order = np.argsort(field.positions[:, 0], kind="stable")
     xs = field.positions[order, 0]
@@ -381,22 +387,41 @@ def _charging_pairs(link: LinkParams, field: SensorField, stops: np.ndarray):
     # terms, which moves the distance where it passes by far less than the
     # 1e-6 relative slack; the window ends and the x deltas round by at most
     # an ulp of the largest coordinate, which 4 spacings cover
-    reach = max_boresight_harvest_range(link) * (1.0 + 1e-6) + 4.0 * np.spacing(span)
+    reach = float(max_boresight_harvest_range(link) * (1.0 + 1e-6) + 4.0 * np.spacing(span))
+    # a Python float's square overflows to inf without a warning; a square
+    # below the normal floats rounds by more than the slack, so such a
+    # reach culls nothing by distance
+    reach_sq = max(reach * reach, np.finfo(float).tiny)
     lo = np.searchsorted(xs, stop_xs - reach, side="left")
     counts = np.searchsorted(xs, stop_xs + reach, side="right") - lo
-    stop = np.repeat(np.arange(stops.shape[0]), counts)
-    first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    sensor = order[first + np.arange(stop.size)]
+    ends = np.cumsum(counts)
 
-    delta = stops[stop] - field.positions[sensor]
-    dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-    cos_inc = np.einsum("ij,ij->i", delta, field.normals[sensor]) / dist
-    incidence = np.arccos(np.clip(cos_inc, -1.0, 1.0))
-    rate = harvest_rate(link, received_power(link, dist, incidence))
-    charging = rate > 0.0
-    stop, sensor, rate = stop[charging], sensor[charging], rate[charging]
-    by_stop = np.lexsort((sensor, stop))
-    return stop[by_stop], sensor[by_stop], rate[by_stop]
+    def block(a: int, b: int):
+        window = counts[a:b]
+        stop = np.repeat(np.arange(a, b), window)
+        first = np.repeat(lo[a:b] - (np.cumsum(window) - window), window)
+        sensor = order[first + np.arange(stop.size)]
+        delta = stops[stop] - field.positions[sensor]
+        dist_sq = np.einsum("ij,ij->i", delta, delta)
+        near = dist_sq <= reach_sq
+        stop, sensor, delta = stop[near], sensor[near], delta[near]
+        dist = np.sqrt(dist_sq[near])
+        cos_inc = np.einsum("ij,ij->i", delta, field.normals[sensor]) / dist
+        incidence = np.arccos(np.clip(cos_inc, -1.0, 1.0))
+        rate = harvest_rate(link, received_power(link, dist, incidence))
+        charging = rate > 0.0
+        stop, sensor, rate = stop[charging], sensor[charging], rate[charging]
+        by_stop = np.lexsort((sensor, stop))
+        return stop[by_stop], sensor[by_stop], rate[by_stop]
+
+    bounds = [0]
+    while bounds[-1] < stops.shape[0]:
+        a = bounds[-1]
+        b = int(np.searchsorted(ends, ends[a] - counts[a] + _BLOCK, side="right"))
+        bounds.append(max(b, a + 1))
+    # without stops, one empty block gives the outputs their dtypes
+    blocks = [block(a, b) for a, b in zip(bounds, bounds[1:])] or [block(0, 0)]
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def _settle(sensor: np.ndarray, banked: np.ndarray, n: int, costs: EnergyCosts):
@@ -463,24 +488,14 @@ def simulate_tour(
     banked = rate * (config.dwell_time * config.phase_split)
     harvested, spent, packets, pair_packets = _settle(sensor, banked, n, config.costs)
 
-    stop_ends = np.searchsorted(stop, np.arange(1, k + 1)).tolist()
-    pair_sums = [0] + np.cumsum(pair_packets).tolist()
+    bounds = np.searchsorted(stop, np.arange(k + 1))
+    slices = list(map(slice, bounds[:-1].tolist(), bounds[1:].tolist()))
+    stop_packets = np.diff(np.concatenate(([0], np.cumsum(pair_packets)))[bounds]).tolist()
     charged, delivered = sensor.tolist(), banked.tolist()
-    per_stop = tuple(
-        StopRecord(
-            stop_id=j,
-            charged=tuple(charged[a:b]),
-            delivered=tuple(delivered[a:b]),
-            packets=pair_sums[b] - pair_sums[a],
-        )
-        for j, (a, b) in enumerate(zip([0] + stop_ends, stop_ends))
-    )
-    per_sensor = tuple(
-        SensorRecord(sensor_id=i, harvested=h, spent=s, residual=r, packets=p)
-        for i, (h, s, r, p) in enumerate(
-            zip(harvested.tolist(), spent.tolist(), (harvested - spent).tolist(), packets.tolist())
-        )
-    )
+    per_stop = tuple(map(StopRecord, range(k), (tuple(charged[s]) for s in slices),
+                         (tuple(delivered[s]) for s in slices), stop_packets))
+    per_sensor = tuple(map(SensorRecord, range(n), harvested.tolist(), spent.tolist(),
+                           (harvested - spent).tolist(), packets.tolist()))
     total_packets = int(packets.sum())
     flight, hover, wpt, rx, total = _energy(config, k, total_packets)
     return MissionLedger(

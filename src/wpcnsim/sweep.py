@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -228,6 +227,8 @@ def sweep(
             raise ValueError(f"{name} repeats a value: {axis}")
     run_case = partial(_sweep_case, base=base, stop_counts=stop_counts, dwells=dwells)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_case, cases))
     else:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -239,6 +240,19 @@ def test_mission_summary_matches_ledger(tmp_path):
         )
 
 
+def test_mission_summary_is_written_a_block_at_a_time(tmp_path):
+    # rendered whole, this 5000 x 1000 ledger's text and its copies peaked at 9.1 MiB
+    ledger = run_mission(replace(DEFAULTS, n_sensors=5000, n_stops=1000))
+    tracemalloc.start()
+    try:
+        path = write_mission_summary(ledger, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 2 * 2**20
+    assert peak < 4 * 2**20
+
+
 def test_manifest_echoes_config_and_digest(tmp_path):
     config = replace(DEFAULTS, n_stops=80)
     digest = sha256_hex(render_config(config).encode("utf-8"))
@@ -455,6 +469,21 @@ def test_cli_sweep_counts_every_nan_dwell_as_one_value(capsys, tmp_path):
     # a single NaN dwell is one value, and its cells are error cells
     assert main([*args, "--dwells", "nan"]) == 0
     assert "2 cells (0 infeasible, 2 errors)" in capsys.readouterr().out
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("dwell", ["nan", "inf"])
+def test_cli_sweep_summary_spells_a_non_finite_dwell_as_the_csv_does(dwell, capsys, tmp_path):
+    args = ["sweep", "--out", str(tmp_path), "--stops-range", "4:5", "--case", "p1s1"]
+    assert main([*args, "--dwells", f"{dwell},20"]) == 0
+    capsys.readouterr()
+    summary = (tmp_path / "summary.json").read_text()
+    assert json.loads(summary, parse_constant=_no_constant)["axes"]["dwells_s"] == [dwell, 20.0]
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == [dwell, "20"] * 2
 
 
 @pytest.mark.parametrize("near", ["20.0000001", "20.0000000001"])

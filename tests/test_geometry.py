@@ -97,6 +97,12 @@ def test_arc_table_matches_the_per_call_grid_bit_for_bit():
         assert np.array_equal(_arc_table(a, b), grid_arc_table(a, b)), (a, b)
 
 
+def test_gauss_legendre_literals_are_leggauss_16():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(_GL_NODES, nodes) and _GL_NODES.dtype == nodes.dtype
+    assert np.array_equal(_GL_WEIGHTS, weights) and _GL_WEIGHTS.dtype == weights.dtype
+
+
 def test_spec_carries_its_own_read_only_arc_table():
     path = ellipse_from_perimeter(3.0, 250.0)
     assert not path.arc_table.flags.writeable

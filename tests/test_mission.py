@@ -190,6 +190,19 @@ def test_large_tour_memory_stays_with_the_pairs_in_reach():
     assert peak < 64 * 2**20
 
 
+def test_pair_kernel_memory_is_its_pairs_and_a_block():
+    # evaluated at once, this field's 620k x-window candidates peaked at 61.8 MiB
+    config = dataclasses.replace(DEFAULTS, n_sensors=20000, n_stops=1000)
+    _, _, field, plan = mission._stages(config)
+    tracemalloc.start()
+    try:
+        pairs = mission._charging_pairs(config.link, field, plan.positions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(column.nbytes for column in pairs) + 8 * 2**20
+
+
 def test_non_positive_dwell_is_a_config_error():
     for dwell in (-1.0, 0.0):
         config = dataclasses.replace(DEFAULTS, dwell_time=dwell)

@@ -1,6 +1,8 @@
 """The package namespace: each public name is stated once, in its module."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +87,20 @@ def test_package_all_is_pinned():
 def test_source_parses_as_python_3_10(path):
     # pyproject.toml admits Python 3.10, so no file may use later syntax
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_import_loads_no_process_pool_and_no_polynomial_module():
+    # only sweep(workers > 1) starts a pool, and the quadrature table is literal
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import wpcnsim, wpcnsim.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing', "
+        "'numpy.polynomial') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

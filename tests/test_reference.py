@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from reference import link_geometry, reference_summary_text, reference_tour
+from wpcnsim import config_io, mission
 from wpcnsim.config_io import write_mission_summary
 from wpcnsim.mission import (
     MissionLedger,
@@ -179,6 +180,15 @@ def test_mission_summary_edges_match_json_reference(build, tmp_path):
     _assert_summary_matches_reference(build(), tmp_path)
 
 
+@pytest.mark.parametrize("block", [1, 7])
+def test_mission_summary_in_small_blocks_matches_json_reference(block, monkeypatch, tmp_path):
+    monkeypatch.setattr(config_io, "_WRITE_BLOCK", block)
+    for build in SUMMARY_EDGES.values():
+        _assert_summary_matches_reference(build(), tmp_path)
+    for config in _accepted_configs(77, 20):
+        _assert_summary_matches_reference(run_mission(config), tmp_path)
+
+
 SMALL = dataclasses.replace(ScenarioConfig(), n_sensors=40, n_stops=60)
 NARROW = dataclasses.replace(SMALL, path_perimeter=60.0, aspect_ratio=10.0, standoff=0.1)
 # the tour evaluates only the pairs within harvest reach of a stop
@@ -196,8 +206,7 @@ WINDOWS = {
 }
 
 
-@pytest.mark.parametrize("config", WINDOWS.values(), ids=WINDOWS.keys())
-def test_harvest_window_matches_reference(config):
+def _assert_window_matches_reference(config):
     assert validate_config(config) == []
     path = _flight_path(config.aspect_ratio, config.path_perimeter)
     reach = max_boresight_harvest_range(config.link)
@@ -217,6 +226,27 @@ def test_harvest_window_matches_reference(config):
         assert ledger.total_packets == 0
     else:
         assert ledger.total_packets > 0
+
+
+@pytest.mark.parametrize("config", WINDOWS.values(), ids=WINDOWS.keys())
+def test_harvest_window_matches_reference(config):
+    _assert_window_matches_reference(config)
+
+
+# blocks of 1 and 7 candidates split every stop list of the kernel, and
+# every zero-threshold window (40 sensors) exceeds either block
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("config", WINDOWS.values(), ids=WINDOWS.keys())
+def test_harvest_window_matches_reference_in_small_blocks(config, block, monkeypatch):
+    monkeypatch.setattr(mission, "_BLOCK", block)
+    _assert_window_matches_reference(config)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_simulate_tour_matches_reference_in_small_blocks(block, monkeypatch):
+    monkeypatch.setattr(mission, "_BLOCK", block)
+    for config in _accepted_configs(4242, 30):
+        _assert_matches_reference(config)
 
 
 def test_link_geometry_344_triangle():

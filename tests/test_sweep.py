@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from wpcnsim import mission
 from wpcnsim.mission import ConfigError, MissionLedger, ScenarioConfig, max_stops, run_mission
 from wpcnsim.rf_link import EnergyCosts
 from wpcnsim.sweep import (
@@ -132,7 +133,7 @@ def _random_grid(rng):
     return base, stop_counts, dwells
 
 
-def test_batched_sweep_matches_run_mission_cell_for_cell():
+def _assert_sweeps_match_run_mission_cell_for_cell():
     rng = np.random.default_rng(20261018)
     grids = [_random_grid(rng) for _ in range(10)]
     # packets this small pass the 2**53 bound on short tours only
@@ -160,6 +161,17 @@ def test_batched_sweep_matches_run_mission_cell_for_cell():
     # value, parity, geometry and packet-bound errors all occur
     assert {"dwell_time", "paired", "p2_phase:", "a"} <= set(errors) and valid
     assert most_visits > 1
+
+
+def test_batched_sweep_matches_run_mission_cell_for_cell():
+    _assert_sweeps_match_run_mission_cell_for_cell()
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_sweep_matches_run_mission_cell_for_cell_in_small_pair_blocks(block, monkeypatch):
+    # the sweep's batches and each mission split into kernel blocks differently
+    monkeypatch.setattr(mission, "_BLOCK", block)
+    _assert_sweeps_match_run_mission_cell_for_cell()
 
 
 def test_stop_batches_stay_bounded_and_match_run_mission(monkeypatch):
