@@ -2,20 +2,21 @@
 
 Config files hold one `key = value` per line with `#` comments; every key
 has a default, so an empty file is a complete configuration. Artifacts
-(sweep.csv, summary.json, manifest.json) are emitted with LF endings,
-'.' decimal separators, 9-significant-digit numbers, and sorted JSON
-keys, so identical inputs always produce byte-identical files.
+(sweep.csv, summary.json, pairs.npy, manifest.json) are emitted with LF
+endings, '.' decimals, 9-significant-digit numbers, sorted JSON keys, or
+exact float bits, so identical inputs always produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 from wpcnsim import __version__
 from wpcnsim.mission import (
@@ -155,6 +156,7 @@ def config_echo(config: ScenarioConfig) -> dict:
 
 
 def sha256_hex(data: bytes) -> str:
+    import hashlib  # here, so that importing the package loads no hash library
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
@@ -168,13 +170,9 @@ def _dwell_text(dwell: float) -> str:
     return text if float(text) == dwell else repr(dwell)
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 # summary.json as json.dumps(..., indent=2, sort_keys=True) lays it out: keys
@@ -189,25 +187,17 @@ _SENSOR = (
     '{\n      "harvested_j": %r,\n      "packets": %r,\n      "residual_j": %r,\n'
     '      "sensor_id": %r,\n      "spent_j": %r\n    }'
 )
-_STOP = (
-    '{\n      "charged": %s,\n      "delivered_j": %s,\n      "packets": %r,\n'
-    '      "stop_id": %r\n    }'
-)
+# a stop's entry holds integers alone; its charging pairs go to pairs.npy
+_STOP = '{\n      "n_charged": %r,\n      "packets": %r,\n      "stop_id": %r\n    }'
 _SENSOR_VALUES = attrgetter("harvested", "packets", "residual", "sensor_id", "spent")
 # records rendered and written at once, so the ledger's text is never held whole
 _WRITE_BLOCK = 512
-
-
-def _array(items, indent: str) -> str:
-    """A json array of rendered items, one per line at indent."""
-    body = (",\n" + indent).join(items)
-    return f"[\n{indent}{body}\n{indent[:-2]}]" if body else "[]"
+# one row per charging pair of a mission, in pairs.npy
+_PAIR = np.dtype([("stop_id", "<i8"), ("sensor_id", "<i8"), ("delivered_j", "<f8")])
 
 
 def _stop_values(rec) -> tuple:
-    item = " " * 8
-    charged = _array(map(repr, rec.charged), item)
-    return charged, _array(map(repr, rec.delivered), item), rec.packets, rec.stop_id
+    return len(rec.charged), rec.packets, rec.stop_id
 
 
 def _json_text(text: str) -> str:
@@ -215,9 +205,9 @@ def _json_text(text: str) -> str:
     return text.replace("inf", "Infinity").replace("nan", "NaN")
 
 
-def _write_records(fh, records, template: str, values) -> None:
-    """A json array of the records at indent 4, each block of them rendered
-    by one % of the template repeated, values(record) filling each copy."""
+def _write_records(fh, records, template: str, values, spell=str) -> None:
+    """A json array of the records at indent 4, each block of them rendered by
+    one % of the template repeated, values(record) filling each copy, as spell(text)."""
     if not records:
         fh.write("[]")
         return
@@ -227,13 +217,24 @@ def _write_records(fh, records, template: str, values) -> None:
         text = ",\n    ".join([template] * len(block)) % tuple(chain(*map(values, block)))
         if start:
             fh.write(",\n    ")
-        fh.write(_json_text(text))
+        fh.write(spell(text))
     fh.write("\n  ]")
 
 
+def _write_pairs(per_stop, path: Path) -> None:
+    """Every charging pair of per_stop, by stop and then in charged order."""
+    counts = [len(rec.charged) for rec in per_stop]
+    pairs = np.empty(sum(counts), dtype=_PAIR)
+    pairs["stop_id"] = np.repeat([rec.stop_id for rec in per_stop], counts)
+    for column, field in (("sensor_id", "charged"), ("delivered_j", "delivered")):
+        items = chain.from_iterable(map(attrgetter(field), per_stop))
+        pairs[column] = np.fromiter(items, _PAIR[column], pairs.size)
+    np.save(path, pairs, allow_pickle=False)
+
+
 def write_mission_summary(ledger: MissionLedger, out_dir) -> Path:
-    """Full ledger with derived efficiency as summary.json, rendered and
-    written block by block."""
+    """Write the ledger with derived efficiency to summary.json, block by block,
+    and its charging pairs to pairs.npy; return the summary.json path."""
     # NUL, which no rendered number holds, marks the places of the two arrays
     text = _SUMMARY % (
         efficiency(ledger), "true" if ledger.feasible else "false", ledger.flight_energy,
@@ -244,10 +245,11 @@ def write_mission_summary(ledger: MissionLedger, out_dir) -> Path:
     path = Path(out_dir) / "summary.json"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head)
-        _write_records(fh, ledger.per_sensor, _SENSOR, _SENSOR_VALUES)
+        _write_records(fh, ledger.per_sensor, _SENSOR, _SENSOR_VALUES, _json_text)
         fh.write(middle)
         _write_records(fh, ledger.per_stop, _STOP, _stop_values)
         fh.write(tail)
+    _write_pairs(ledger.per_stop, path.with_name("pairs.npy"))
     return path
 
 
@@ -268,7 +270,7 @@ def write_sweep_csv(table: SweepTable, out_dir) -> Path:
             f"{'true' if cell.feasible else 'false'}"
         )
     path = Path(out_dir) / "sweep.csv"
-    _write_text(path, "\n".join(rows) + "\n")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
     return path
 
 

@@ -276,6 +276,10 @@ def _value_errors(config: ScenarioConfig) -> list:
                 f"uav_flight_power: {config.uav_flight_power} W over one loop of "
                 f"{config.path_perimeter} m at {config.cruise_speed} m/s underflows to 0 kJ"
             )
+        if config.link.tx_power == 0.0 < config.standoff:
+            # 0 W times a gain beyond float range, where 1 W harvests inf, is NaN
+            if _standoff_rate(replace(config, link=replace(config.link, tx_power=1.0))) == math.inf:
+                errors.append("tx_power: 0.0 W times a boresight gain beyond float range is NaN")
     return errors
 
 
@@ -299,8 +303,9 @@ def _packet_bound(config: ScenarioConfig, best: float) -> list:
     """
     unit = config.costs.packet_unit
     charge = config.n_sensors * config.n_stops * config.dwell_time * config.phase_split
-    bound = best * charge / unit
-    if bound >= 2.0**53:
+    # no stop, nor a zero rate, charges anyone; inf times an underflowed charge is NaN
+    bound = best * charge / unit if best and config.n_stops else 0.0
+    if not bound < 2.0**53:
         return [
             f"a mission could count up to {bound:.3g} packets of e_measurement + "
             f"e_tx_packet = {unit} J, beyond the 2**53 that floats count exactly"

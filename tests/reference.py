@@ -8,11 +8,12 @@ checked by two independent codes.
 
 The reference summary builds the ledger's dict and hands it to json's
 encoder, which write_mission_summary's templates must reproduce byte for
-byte.
+byte; the reference pairs pack pairs.npy's rows with `struct`, not numpy.
 """
 
 import json
 import math
+import struct
 
 from wpcnsim.sweep import efficiency
 
@@ -102,8 +103,7 @@ def reference_summary_text(ledger):
         "per_stop": [
             {
                 "stop_id": rec.stop_id,
-                "charged": list(rec.charged),
-                "delivered_j": list(rec.delivered),
+                "n_charged": len(rec.charged),
                 "packets": rec.packets,
             }
             for rec in ledger.per_stop
@@ -120,3 +120,13 @@ def reference_summary_text(ledger):
         ],
     }
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def reference_pair_bytes(ledger):
+    """pairs.npy's data: (stop_id, sensor_id, delivered_j) per charging pair,
+    by stop and then in charged order, packed little-endian."""
+    return b"".join(
+        struct.pack("<qqd", rec.stop_id, sensor, delivered)
+        for rec in ledger.per_stop
+        for sensor, delivered in zip(rec.charged, rec.delivered)
+    )

@@ -245,11 +245,10 @@ def test_mission_summary_is_written_a_block_at_a_time(tmp_path):
     ledger = run_mission(replace(DEFAULTS, n_sensors=5000, n_stops=1000))
     tracemalloc.start()
     try:
-        path = write_mission_summary(ledger, tmp_path)
+        write_mission_summary(ledger, tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert path.stat().st_size > 2 * 2**20
     assert peak < 4 * 2**20
 
 
@@ -292,7 +291,7 @@ def test_cli_simulate_reference_mission(capsys, tmp_path):
     assert summary["total_packets"] == 400
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["n_stops"] == 80
-    assert manifest["artifacts"] == ["summary.json"]
+    assert manifest["artifacts"] == ["pairs.npy", "summary.json"]
 
 
 def test_cli_simulate_artifacts_match_golden_digests(capsys, tmp_path):
@@ -300,12 +299,36 @@ def test_cli_simulate_artifacts_match_golden_digests(capsys, tmp_path):
     capsys.readouterr()
     digests = [
         hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("summary.json", "manifest.json")
+        for name in ("summary.json", "manifest.json", "pairs.npy")
     ]
     assert digests == [
-        "d87bb4e247fcba8d15c7db70671a316a1c69be957f07cff09c5598c1039847a2",
-        "972d10448c3d50be704b42cb32de786f03a125f938dcc6228475e2b799c6455d",
+        "fa60bc46b9485196a7241138bbf14a9bb8b46a39d1924dd3fd88e95ba496428a",
+        "0f7dfebdb7552deaf390a38ef3aee4e8f1535f36d75b7704efaf0c75ca625bec",
+        "74ca5e52096e4723e894578966bef128acca5b91cd27ab1a61ba4cb51aa7cf5a",
     ]
+
+
+def test_cli_simulate_runs_byte_identical(capsys, tmp_path):
+    for run in ("a", "b"):
+        assert main(["simulate", "--stops", "80", "--out", str(tmp_path / run)]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == ["manifest.json", "pairs.npy", "summary.json"]
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--stops", "80"], ["sweep", "--stops-range", "4:6", "--dwells", "20"]],
+    ids=["simulate", "sweep"],
+)
+def test_manifest_lists_every_file_written_beside_it(argv, capsys, tmp_path):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    written = {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+    assert manifest["artifacts"] == sorted(written)
 
 
 def test_cli_simulate_case_override(capsys):

@@ -90,11 +90,12 @@ def test_source_parses_as_python_3_10(path):
 
 
 def test_import_loads_no_process_pool_and_no_polynomial_module():
-    # only sweep(workers > 1) starts a pool, and the quadrature table is literal
+    # only sweep(workers > 1) starts a pool, the quadrature table is literal,
+    # and only sha256_hex hashes
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); import wpcnsim, wpcnsim.cli; "
         "print([m for m in ('concurrent.futures.process', 'multiprocessing', "
-        "'numpy.polynomial') if m in sys.modules])"
+        "'numpy.polynomial', 'hashlib', '_hashlib') if m in sys.modules])"
     )
     result = subprocess.run(
         [sys.executable, "-c", script, str(ROOT / "src")],

@@ -1,6 +1,7 @@
-"""simulate_tour and summary.json against the slow oracles on random small missions."""
+"""simulate_tour, summary.json and pairs.npy against the slow oracles on random small missions."""
 
 import dataclasses
+import json
 import math
 import time
 from collections import Counter
@@ -8,7 +9,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from reference import link_geometry, reference_summary_text, reference_tour
+from reference import (
+    link_geometry,
+    reference_pair_bytes,
+    reference_summary_text,
+    reference_tour,
+)
 from wpcnsim import config_io, mission
 from wpcnsim.config_io import write_mission_summary
 from wpcnsim.mission import (
@@ -123,9 +129,23 @@ def test_simulate_tour_matches_reference():
     assert elapsed < 5.0
 
 
+PAIR_DTYPE = np.dtype([("stop_id", "<i8"), ("sensor_id", "<i8"), ("delivered_j", "<f8")])
+
+
 def _assert_summary_matches_reference(ledger, out_dir):
-    written = write_mission_summary(ledger, out_dir).read_bytes()
+    path = write_mission_summary(ledger, out_dir)
+    written = path.read_bytes()
     assert written == reference_summary_text(ledger).encode("utf-8")
+    # every charging pair, bit for bit, with the stops' counts slicing it by stop
+    pairs = np.load(path.with_name("pairs.npy"), allow_pickle=False)
+    assert pairs.dtype == PAIR_DTYPE and pairs.ndim == 1
+    assert pairs.tobytes() == reference_pair_bytes(ledger)
+    per_stop = json.loads(written)["per_stop"]
+    ends = np.cumsum([0] + [stop["n_charged"] for stop in per_stop])
+    assert ends[-1] == pairs.size
+    for stop, rec, a, b in zip(per_stop, ledger.per_stop, ends, ends[1:]):
+        assert set(pairs["stop_id"][a:b].tolist()) <= {stop["stop_id"]}
+        assert tuple(pairs["sensor_id"][a:b].tolist()) == rec.charged
 
 
 def test_mission_summary_matches_json_reference(tmp_path):
@@ -171,6 +191,10 @@ SUMMARY_EDGES = {
             per_stop=(StopRecord(0, (), (), 0), StopRecord(1, (0,), (math.inf,), 0)),
             per_sensor=(SensorRecord(0, math.inf, -math.inf, math.nan, 0),),
         )
+    ),
+    # pairs.npy keeps each float's bits, a NaN's and a -0.0's among them
+    "nan-and-negative-zero-pairs": lambda: MissionLedger(
+        **dict(_LEDGER, per_stop=(StopRecord(3, (1, 0), (math.nan, -0.0), 0),))
     ),
 }
 
