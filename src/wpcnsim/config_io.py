@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+from contextlib import contextmanager
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -23,6 +25,7 @@ from wpcnsim.mission import (
     ConfigError,
     MissionLedger,
     ScenarioConfig,
+    SensorRecord,
     _leaves,
     validate_config,
 )
@@ -189,15 +192,10 @@ _SENSOR = (
 )
 # a stop's entry holds integers alone; its charging pairs go to pairs.npy
 _STOP = '{\n      "n_charged": %r,\n      "packets": %r,\n      "stop_id": %r\n    }'
-_SENSOR_VALUES = attrgetter("harvested", "packets", "residual", "sensor_id", "spent")
-# records rendered and written at once, so the ledger's text is never held whole
+# rows rendered and written at once, so the ledger's text is never held whole
 _WRITE_BLOCK = 512
 # one row per charging pair of a mission, in pairs.npy
 _PAIR = np.dtype([("stop_id", "<i8"), ("sensor_id", "<i8"), ("delivered_j", "<f8")])
-
-
-def _stop_values(rec) -> tuple:
-    return len(rec.charged), rec.packets, rec.stop_id
 
 
 def _json_text(text: str) -> str:
@@ -205,36 +203,63 @@ def _json_text(text: str) -> str:
     return text.replace("inf", "Infinity").replace("nan", "NaN")
 
 
-def _write_records(fh, records, template: str, values, spell=str) -> None:
-    """A json array of the records at indent 4, each block of them rendered by
-    one % of the template repeated, values(record) filling each copy, as spell(text)."""
-    if not records:
+def _columns(ledger: MissionLedger) -> tuple:
+    """The ledger's columns, laid out as mission._records reads them: a tour's
+    own until its records are read, else the records' values, the pairs' as
+    int64 and float64 and the rest as the records' own objects (object
+    arrays), so that they render as the records would."""
+    columns = vars(ledger).get("_columns")
+    if columns is not None:
+        return columns
+    per_stop = ledger.per_stop
+    charged = tuple(map(attrgetter("charged"), per_stop))
+    return (
+        np.fromiter(map(attrgetter("stop_id"), per_stop), object),
+        np.fromiter(map(len, charged), np.int64),
+        np.fromiter(map(attrgetter("packets"), per_stop), object),
+        np.fromiter(chain.from_iterable(charged), np.int64),
+        np.fromiter(chain.from_iterable(map(attrgetter("delivered"), per_stop)), np.float64),
+        *(np.fromiter(map(attrgetter(f.name), ledger.per_sensor), object)
+          for f in dataclasses.fields(SensorRecord)),
+    )
+
+
+def _write_rows(fh, columns, template: str, spell=str) -> None:
+    """A json array at indent 4 of one entry per row of the columns, each block
+    of rows rendered by one % of the template repeated, as spell(text)."""
+    size = len(columns[0])
+    if not size:
         fh.write("[]")
         return
     fh.write("[\n    ")
-    for start in range(0, len(records), _WRITE_BLOCK):
-        block = records[start : start + _WRITE_BLOCK]
-        text = ",\n    ".join([template] * len(block)) % tuple(chain(*map(values, block)))
+    for start in range(0, size, _WRITE_BLOCK):
+        rows = zip(*(column[start : start + _WRITE_BLOCK].tolist() for column in columns))
+        values = tuple(chain.from_iterable(rows))
+        text = ",\n    ".join([template] * (len(values) // len(columns))) % values
         if start:
             fh.write(",\n    ")
         fh.write(spell(text))
     fh.write("\n  ]")
 
 
-def _write_pairs(per_stop, path: Path) -> None:
-    """Every charging pair of per_stop, by stop and then in charged order."""
-    counts = [len(rec.charged) for rec in per_stop]
-    pairs = np.empty(sum(counts), dtype=_PAIR)
-    pairs["stop_id"] = np.repeat([rec.stop_id for rec in per_stop], counts)
-    for column, field in (("sensor_id", "charged"), ("delivered_j", "delivered")):
-        items = chain.from_iterable(map(attrgetter(field), per_stop))
-        pairs[column] = np.fromiter(items, _PAIR[column], pairs.size)
-    np.save(path, pairs, allow_pickle=False)
+@contextmanager
+def _rewrite(path: Path, mode: str, **kwargs):
+    """path opened for writing and cut at the written length: over a file
+    that holds data, truncating at open costs several times more."""
+
+    def opener(name, flags):
+        return os.open(name, flags & ~os.O_TRUNC, 0o666)
+
+    with open(path, mode, opener=opener, **kwargs) as fh:
+        yield fh
+        fh.truncate()
 
 
 def write_mission_summary(ledger: MissionLedger, out_dir) -> Path:
     """Write the ledger with derived efficiency to summary.json, block by block,
     and its charging pairs to pairs.npy; return the summary.json path."""
+    stop_id, n_charged, stop_packets, charged, delivered, *accounts = _columns(ledger)
+    sensor_id, harvested, spent, residual, packets = accounts
     # NUL, which no rendered number holds, marks the places of the two arrays
     text = _SUMMARY % (
         efficiency(ledger), "true" if ledger.feasible else "false", ledger.flight_energy,
@@ -243,13 +268,18 @@ def write_mission_summary(ledger: MissionLedger, out_dir) -> Path:
     )
     head, middle, tail = _json_text(text).split("\0")
     path = Path(out_dir) / "summary.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _rewrite(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head)
-        _write_records(fh, ledger.per_sensor, _SENSOR, _SENSOR_VALUES, _json_text)
+        _write_rows(fh, (harvested, packets, residual, sensor_id, spent), _SENSOR, _json_text)
         fh.write(middle)
-        _write_records(fh, ledger.per_stop, _STOP, _stop_values)
+        _write_rows(fh, (n_charged, stop_packets, stop_id), _STOP)
         fh.write(tail)
-    _write_pairs(ledger.per_stop, path.with_name("pairs.npy"))
+    # every charging pair, by stop and then in charged order
+    pairs = np.empty(charged.size, dtype=_PAIR)
+    pairs["stop_id"] = np.repeat(stop_id, n_charged)
+    pairs["sensor_id"], pairs["delivered_j"] = charged, delivered
+    with _rewrite(path.with_name("pairs.npy"), "wb") as fh:
+        np.save(fh, pairs, allow_pickle=False)
     return path
 
 

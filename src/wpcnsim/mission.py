@@ -125,7 +125,9 @@ class MissionLedger:
     """Joule-exact accounting of one mission.
 
     total_uav_energy is flight + hover + wpt + rx in exactly that order;
-    feasible means the total fits the battery.
+    feasible means the total fits the battery. A tour's ledger keeps its
+    accounts as columns until per_stop or per_sensor is first read, then
+    builds both and drops the columns.
     """
 
     total_uav_energy: float
@@ -138,6 +140,29 @@ class MissionLedger:
     total_packets: int
     feasible: bool
     mission_time: float
+
+    def __getattr__(self, name):
+        # reached only for what the instance lacks: a tour's unread records
+        columns = vars(self).get("_columns")
+        if columns is None or name not in ("per_stop", "per_sensor"):
+            raise AttributeError(name)
+        vars(self).update(zip(("per_stop", "per_sensor"), _records(columns)))
+        vars(self).pop("_columns", None)
+        return vars(self)[name]
+
+
+# A ledger's columns hold its records' values in record order: per stop its
+# id, how many sensors charged there and its packets; per charging pair the
+# sensor and the energy delivered; per sensor the fields of its SensorRecord.
+def _records(columns: tuple):
+    """(per_stop, per_sensor) records of the columns."""
+    stop_id, n_charged, stop_packets, charged, delivered, *accounts = columns
+    ends = np.cumsum(n_charged).tolist()
+    slices = list(map(slice, [0] + ends[:-1], ends))
+    charged, delivered = charged.tolist(), delivered.tolist()
+    per_stop = tuple(map(StopRecord, stop_id.tolist(), (tuple(charged[s]) for s in slices),
+                         (tuple(delivered[s]) for s in slices), stop_packets.tolist()))
+    return per_stop, tuple(map(SensorRecord, *(column.tolist() for column in accounts)))
 
 
 class ConfigError(ValueError):
@@ -411,6 +436,8 @@ def _charging_pairs(link: LinkParams, field: SensorField, stops: np.ndarray):
         near = dist_sq <= reach_sq
         stop, sensor, delta = stop[near], sensor[near], delta[near]
         dist = np.sqrt(dist_sq[near])
+        if not dist.all():
+            raise ValueError("distance must be positive: a stop sits on a sensor")
         cos_inc = np.einsum("ij,ij->i", delta, field.normals[sensor]) / dist
         incidence = np.arccos(np.clip(cos_inc, -1.0, 1.0))
         rate = harvest_rate(link, received_power(link, dist, incidence))
@@ -494,24 +521,22 @@ def simulate_tour(
     harvested, spent, packets, pair_packets = _settle(sensor, banked, n, config.costs)
 
     bounds = np.searchsorted(stop, np.arange(k + 1))
-    slices = list(map(slice, bounds[:-1].tolist(), bounds[1:].tolist()))
-    stop_packets = np.diff(np.concatenate(([0], np.cumsum(pair_packets)))[bounds]).tolist()
-    charged, delivered = sensor.tolist(), banked.tolist()
-    per_stop = tuple(map(StopRecord, range(k), (tuple(charged[s]) for s in slices),
-                         (tuple(delivered[s]) for s in slices), stop_packets))
-    per_sensor = tuple(map(SensorRecord, range(n), harvested.tolist(), spent.tolist(),
-                           (harvested - spent).tolist(), packets.tolist()))
+    stop_packets = np.diff(np.concatenate(([0], np.cumsum(pair_packets)))[bounds])
+    columns = (np.arange(k), np.diff(bounds), stop_packets, sensor, banked,
+               np.arange(n), harvested, spent, harvested - spent, packets)
     total_packets = int(packets.sum())
     flight, hover, wpt, rx, total = _energy(config, k, total_packets)
-    return MissionLedger(
+    ledger = object.__new__(MissionLedger)
+    # per_stop and per_sensor are left out: the first read builds them
+    vars(ledger).update(
         total_uav_energy=total,
         flight_energy=flight,
         hover_energy=hover,
         wpt_energy=wpt,
         rx_energy=rx,
-        per_stop=per_stop,
-        per_sensor=per_sensor,
         total_packets=total_packets,
         feasible=total <= config.uav_battery,
         mission_time=config.path_perimeter / config.cruise_speed + k * config.dwell_time,
+        _columns=columns,
     )
+    return ledger

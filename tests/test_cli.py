@@ -252,6 +252,21 @@ def test_mission_summary_is_written_a_block_at_a_time(tmp_path):
     assert peak < 4 * 2**20
 
 
+def test_a_small_ledger_written_over_a_large_ones_artifacts_leaves_its_own_bytes(tmp_path):
+    small = run_mission(replace(DEFAULTS, n_stops=3))
+    large = run_mission(replace(DEFAULTS, n_stops=80))
+    fresh, over = tmp_path / "fresh", tmp_path / "over"
+    fresh.mkdir()
+    over.mkdir()
+    write_mission_summary(small, fresh)
+    write_mission_summary(large, over)
+    for name in ("summary.json", "pairs.npy"):
+        assert (over / name).stat().st_size > (fresh / name).stat().st_size
+    write_mission_summary(small, over)
+    for name in ("summary.json", "pairs.npy"):
+        assert (over / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def test_manifest_echoes_config_and_digest(tmp_path):
     config = replace(DEFAULTS, n_stops=80)
     digest = sha256_hex(render_config(config).encode("utf-8"))

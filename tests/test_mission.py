@@ -1,16 +1,21 @@
 """Mission engine checks: ledgers, feasibility, carry-over, determinism."""
 
 import dataclasses
+import pickle
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from test_reference import SUMMARY_EDGES
 from wpcnsim import mission, received_power
+from wpcnsim.config_io import write_mission_summary
 from wpcnsim.geometry import ellipse_from_perimeter, poses_at_arcs
 from wpcnsim.layout import StopPlan, place_sensors_even, place_stops_facing
 from wpcnsim.mission import (
     ConfigError,
+    MissionLedger,
     ScenarioConfig,
     endurance,
     max_stops,
@@ -170,7 +175,7 @@ def test_stop_on_a_sensor_raises():
     # with no power the harvest reach is 0, and the pair is still evaluated
     for link in (DEFAULTS.link, dark):
         config = dataclasses.replace(DEFAULTS, link=link, n_sensors=10, n_stops=1)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="distance"):
+        with pytest.raises(ValueError, match="distance"):
             simulate_tour(config, path, field, plan)
 
 
@@ -217,6 +222,67 @@ def test_reruns_are_bit_identical():
     assert first is not second
     assert first == second
     assert first.total_uav_energy == second.total_uav_energy
+
+
+# tours whose ledgers must read, compare, pickle and write alike whether
+# their records were built or not
+TOURS = {
+    "reference": lambda: run_mission(REFERENCE),
+    "no-stops": lambda: run_mission(dataclasses.replace(REFERENCE, n_stops=0)),
+    "inf-energies": SUMMARY_EDGES["inf-energies"],
+}
+
+
+def _unread_read_rebuilt(build):
+    """A tour's ledger with its records unread, one whose records were read,
+    and the public constructor's ledger from the read one's fields."""
+    unread, read = build(), build()
+    read.per_stop
+    rebuilt = MissionLedger(**{f.name: getattr(read, f.name) for f in dataclasses.fields(read)})
+    return unread, read, rebuilt
+
+
+@pytest.mark.parametrize("build", TOURS.values(), ids=TOURS.keys())
+def test_a_ledger_compares_and_pickles_alike_before_and_after_its_records_are_read(build):
+    unread, read, rebuilt = _unread_read_rebuilt(build)
+    unpickled = pickle.loads(pickle.dumps(unread))
+    for ledger in (unread, unpickled, rebuilt):
+        assert ledger == read
+        assert hash(ledger) == hash(read)
+        assert repr(ledger) == repr(read)
+    for ledger in (unread, read, rebuilt):
+        assert pickle.loads(pickle.dumps(ledger)) == read
+    assert dataclasses.asdict(build()) == dataclasses.asdict(read)
+    assert dataclasses.replace(build(), feasible=not read.feasible).per_sensor == read.per_sensor
+
+
+@pytest.mark.parametrize("build", TOURS.values(), ids=TOURS.keys())
+def test_a_ledger_writes_the_same_bytes_whether_its_records_were_read(build, tmp_path):
+    written = []
+    for index, ledger in enumerate(_unread_read_rebuilt(build)):
+        out = tmp_path / str(index)
+        out.mkdir()
+        path = write_mission_summary(ledger, out)
+        written.append((path.read_bytes(), path.with_name("pairs.npy").read_bytes()))
+    assert written[0] == written[1] == written[2]
+
+
+def test_a_tour_builds_no_record_until_one_is_read(monkeypatch, tmp_path):
+    built = Counter()
+    for record in (mission.StopRecord, mission.SensorRecord):
+
+        def counted(*args, record=record):
+            built[record.__name__] += 1
+            return record(*args)
+
+        monkeypatch.setattr(mission, record.__name__, counted)
+    ledger = run_mission(REFERENCE)
+    write_mission_summary(ledger, tmp_path)
+    assert not built
+    ledger.per_stop
+    assert built == {"StopRecord": REFERENCE.n_stops, "SensorRecord": REFERENCE.n_sensors}
+    ledger.per_sensor
+    assert sum(built.values()) == REFERENCE.n_stops + REFERENCE.n_sensors
 
 
 def test_longer_dwell_never_loses_packets():
