@@ -8,9 +8,11 @@ exactly those sensors, which convert stored energy into measure-and-send
 packet units while the drone pays a fixed receive cost per packet.
 
 Only stop-sensor pairs within the boresight harvest reach are evaluated,
-so a tour costs what its pairs in reach cost, not stops x sensors. Each
-sensor's sums run over its own visits in stop order, and records list
-sensors by ascending id, so repeated runs produce bit-identical ledgers.
+found by x-windows on each side of the x-axis, and the link budget runs
+only on those that face their stop, so a tour costs what its pairs in
+reach cost, not stops x sensors. Each sensor's sums run over its own
+visits in stop order, and records list sensors by ascending id, so
+repeated runs produce bit-identical ledgers.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ _DEFAULT_LINK = LinkParams(
 
 _DEFAULT_COSTS = EnergyCosts(e_measurement=0.01, e_tx_packet=0.01, e_rx_packet=0.01)
 
-# most x-window candidates the pair kernel evaluates at once
+# most candidates, over both sides' x-windows, the pair kernel evaluates at once
 _BLOCK = 2**15
 
 
@@ -403,53 +405,73 @@ def _charging_pairs(link: LinkParams, field: SensorField, stops: np.ndarray):
     stops is a (k, 2) array of stop positions; stop j is its row j.
 
     Only sensors within the boresight harvest reach of a stop can charge
-    there, so each stop's candidates are the window |dx| <= reach on the
-    sensors sorted by x. Consecutive stops are evaluated in blocks of at
-    most _BLOCK candidates (a stop whose window alone is larger forms its
-    own block), so the memory beyond the charging pairs stays bounded; in
-    a block, the exact budget runs on the candidates within reach alone.
+    there. With the sensors split by side of the x-axis and each side sorted
+    by x, a stop's candidates are the window |dx| <= reach on each side whose
+    y-range comes within reach, so the far side of a loop drops out. Blocks
+    of consecutive stops hold at most _BLOCK candidates (a stop whose windows
+    alone hold more is a block of its own), so the memory beyond the charging
+    pairs stays bounded. The budget runs on the candidates within reach that
+    face the stop alone: the others receive 0 W.
     """
+    k, n = stops.shape[0], field.n_sensors
     order = np.argsort(field.positions[:, 0], kind="stable")
-    xs = field.positions[order, 0]
-    stop_xs = stops[:, 0]
-    span = max(np.abs(xs).max(initial=0.0), np.abs(stop_xs).max(initial=0.0))
+    lower = field.positions[order, 1] < 0.0
+    order = np.concatenate((order[~lower], order[lower]))
+    xs, ys, nxs, nys = np.hstack((field.positions, field.normals))[order].T.copy()
+    stop_xs, stop_ys = stops.T.copy()
+    span = max(np.abs(field.positions).max(initial=0.0), np.abs(stops).max(initial=0.0))
     # the threshold test runs on a budget rounded by a few ulps of its dB
     # terms, which moves the distance where it passes by far less than the
-    # 1e-6 relative slack; the window ends and the x deltas round by at most
+    # 1e-6 relative slack; the window ends and the deltas round by at most
     # an ulp of the largest coordinate, which 4 spacings cover
     reach = float(max_boresight_harvest_range(link) * (1.0 + 1e-6) + 4.0 * np.spacing(span))
     # a Python float's square overflows to inf without a warning; a square
     # below the normal floats rounds by more than the slack, so such a
     # reach culls nothing by distance
     reach_sq = max(reach * reach, np.finfo(float).tiny)
-    lo = np.searchsorted(xs, stop_xs - reach, side="left")
-    counts = np.searchsorted(xs, stop_xs + reach, side="right") - lo
-    ends = np.cumsum(counts)
+    upper = n - np.count_nonzero(lower)
+    lo, counts = np.empty((2, k, 2), dtype=np.intp)
+    for side, part in enumerate((slice(0, upper), slice(upper, n))):
+        side_xs, side_ys = xs[part], ys[part]
+        lo[:, side] = part.start + np.searchsorted(side_xs, stop_xs - reach, side="left")
+        hi = part.start + np.searchsorted(side_xs, stop_xs + reach, side="right")
+        # the y-range is windowed as x is, with the same slack (span takes
+        # in y), so rounding cannot skip a side holding a pair within reach
+        bottom, top = side_ys.min(initial=np.inf), side_ys.max(initial=-np.inf)
+        near = (stop_ys - reach <= top) & (stop_ys + reach >= bottom)
+        counts[:, side] = np.where(near, hi - lo[:, side], 0)
+    total = counts.sum(axis=1)
+    ends = np.cumsum(total)
 
     def block(a: int, b: int):
-        window = counts[a:b]
-        stop = np.repeat(np.arange(a, b), window)
-        first = np.repeat(lo[a:b] - (np.cumsum(window) - window), window)
-        sensor = order[first + np.arange(stop.size)]
-        delta = stops[stop] - field.positions[sensor]
-        dist_sq = np.einsum("ij,ij->i", delta, delta)
-        near = dist_sq <= reach_sq
-        stop, sensor, delta = stop[near], sensor[near], delta[near]
-        dist = np.sqrt(dist_sq[near])
-        if not dist.all():
+        window = counts[a:b].ravel()
+        stop = np.repeat(np.arange(a, b), total[a:b])
+        at = np.repeat(lo[a:b].ravel() - np.cumsum(window) + window, window) + np.arange(stop.size)
+        dx = stop_xs[stop] - xs[at]
+        dy = stop_ys[stop] - ys[at]
+        # a square past float range is inf, beyond any finite reach
+        with np.errstate(over="ignore"):
+            dist_sq = dx * dx + dy * dy
+            dot = dx * nxs[at] + dy * nys[at]
+        # checked on every candidate: a zero square is always within reach
+        if not dist_sq.all():
             raise ValueError("distance must be positive: a stop sits on a sensor")
-        cos_inc = np.einsum("ij,ij->i", delta, field.normals[sensor]) / dist
-        incidence = np.arccos(np.clip(cos_inc, -1.0, 1.0))
+        # a pair that faces away, at an incidence of pi/2 or more, receives 0 W
+        keep = np.flatnonzero((dist_sq <= reach_sq) & (dot > 0.0))
+        dist = np.sqrt(dist_sq[keep])
+        incidence = np.arccos(np.clip(dot[keep] / dist, -1.0, 1.0))
         rate = harvest_rate(link, received_power(link, dist, incidence))
         charging = rate > 0.0
-        stop, sensor, rate = stop[charging], sensor[charging], rate[charging]
-        by_stop = np.lexsort((sensor, stop))
+        keep, rate = keep[charging], rate[charging]
+        stop, sensor = stop[keep], order[at[keep]]
+        # unique keys; a stable sort merges the runs that each window leaves
+        by_stop = np.argsort((stop - a) * n + sensor, kind="stable")
         return stop[by_stop], sensor[by_stop], rate[by_stop]
 
     bounds = [0]
-    while bounds[-1] < stops.shape[0]:
+    while bounds[-1] < k:
         a = bounds[-1]
-        b = int(np.searchsorted(ends, ends[a] - counts[a] + _BLOCK, side="right"))
+        b = int(np.searchsorted(ends, ends[a] - total[a] + _BLOCK, side="right"))
         bounds.append(max(b, a + 1))
     # without stops, one empty block gives the outputs their dtypes
     blocks = [block(a, b) for a, b in zip(bounds, bounds[1:])] or [block(0, 0)]
@@ -470,6 +492,8 @@ def _settle(sensor: np.ndarray, banked: np.ndarray, n: int, costs: EnergyCosts):
     by_sensor = np.argsort(sensor, kind="stable")
     ordinal = np.empty(sensor.size, dtype=np.int64)
     ordinal[by_sensor] = np.arange(sensor.size) - np.repeat(np.cumsum(visits) - visits, visits)
+    # a stable sort's permutation is unique; on a narrow dtype it is a radix sort
+    ordinal = ordinal.astype(np.min_scalar_type(ordinal.max(initial=0)))
     by_round = np.argsort(ordinal, kind="stable")
     round_ends = np.cumsum(np.bincount(ordinal)).tolist()
     harvested = np.zeros(n)
