@@ -55,6 +55,9 @@ class SensorField:
             raise ValueError("inconsistent sensor array shapes")
         if self.cluster_ids.shape != (n,):
             raise ValueError("inconsistent sensor array shapes")
+        # one non-finite coordinate would leave the whole field out of reach
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.normals).all()):
+            raise ValueError("sensor positions and normals must be finite")
         for arr in (self.arc_coords, self.positions, self.normals, self.cluster_ids):
             arr.setflags(write=False)
 
@@ -83,6 +86,8 @@ class StopPlan:
         k = self.arc_coords.shape[0]
         if self.positions.shape != (k, 2):
             raise ValueError("inconsistent stop array shapes")
+        if not np.isfinite(self.positions).all():
+            raise ValueError("stop positions must be finite")
         error = _stop_arcs_error(self.arc_coords)
         if error:
             raise ValueError(error)

@@ -7,31 +7,31 @@ banks energy for that whole phase. The remainder of the dwell polls
 exactly those sensors, which convert stored energy into measure-and-send
 packet units while the drone pays a fixed receive cost per packet.
 
-Only stop-sensor pairs within the boresight harvest reach are evaluated,
-found by x-windows on each side of the x-axis, and the link budget runs
-only on those that face their stop, so a tour costs what its pairs in
-reach cost, not stops x sensors. Each sensor's sums run over its own
-visits in stop order, and records list sensors by ascending id, so
-repeated runs produce bit-identical ledgers.
+validate_config, run_mission and each sweep case check and plan in one
+pass, _case. Each sensor's sums run over its own visits in stop order,
+and records list sensors by ascending id, so repeated runs produce
+bit-identical ledgers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter
 
 import numpy as np
 
-from wpcnsim.geometry import EllipseSpec, ellipse_from_perimeter, equidistant_arcs
+from wpcnsim.geometry import EllipseSpec, ellipse_from_perimeter, equidistant_arcs, poses_at_arcs
 from wpcnsim.layout import (
     SensorField,
     StopPlan,
+    _facing_arcs,
+    _stop_arcs_error,
     place_sensors_even,
     place_sensors_paired,
-    place_stops_equal_arcs,
-    place_stops_facing,
+    place_stops_equal_arcs,  # noqa: F401 -- wpcnbench/tracing.py wraps mission's placers
+    place_stops_facing,  # noqa: F401 -- wpcnbench/tracing.py wraps mission's placers
 )
 from wpcnsim.rf_link import (
     EnergyCosts,
@@ -202,13 +202,13 @@ def _leaves(config: ScenarioConfig):
 
 
 def _stages(config: ScenarioConfig):
-    """(violations, path, field, plan): the geometry that the mission flies.
+    """(violations, path, field, rule): a case's geometry and its stop arcs.
 
     Each stage runs once its inputs are built and its ValueError becomes one
     violation, led by the config key it names; a stage whose inputs failed
-    is skipped and left None. At 0 stops the plan stage cannot fail, so a
-    None plan there means an input failed. The p2 phase is checked under
-    every placement, because a sweep turns p1 bases into p2 cells.
+    is skipped and left None. rule(n_stops >= 1) gives a plan's sorted arcs.
+    The p2 phase is checked under every placement, because a sweep turns p1
+    bases into p2 cells.
     """
     errors = []
 
@@ -244,14 +244,12 @@ def _stages(config: ScenarioConfig):
             config.standoff,
         )
     phase = attempt({"phase": "p2_phase"}, equidistant_arcs, path, 1, config.p2_phase)
-    plan = None
-    if config.placement == "p1":
-        plan = attempt({"n_stops": "n_stops"}, place_stops_facing, path, field, config.n_stops)
-    elif phase is not None:
-        plan = attempt(
-            {"n_stops": "n_stops"}, place_stops_equal_arcs, path, config.n_stops, config.p2_phase
-        )
-    return errors, path, field, plan
+    rule = None
+    if config.placement == "p1" and field is not None:
+        rule = partial(_facing_arcs, path, field)
+    elif config.placement == "p2" and phase is not None:
+        rule = partial(equidistant_arcs, path, phase=config.p2_phase)
+    return errors, path, field, rule
 
 
 def _value_errors(config: ScenarioConfig) -> list:
@@ -347,16 +345,36 @@ def _packet_bound(config: ScenarioConfig, best: float) -> list:
     return []
 
 
-def _checked(config: ScenarioConfig):
-    """(violations, path, field, plan): validate_config's violations and the
-    geometry its stages built for run_mission to fly, None where not built."""
-    errors = _value_errors(config)
-    if errors:
-        return errors, None, None, None
-    errors, path, field, plan = _stages(config)
-    if not errors:
-        errors = _packet_bound(config, _standoff_rate(config))
-    return errors, path, field, plan
+def _case(base: ScenarioConfig, stop_counts, dwells):
+    """(cells, path, field, plans): the checks and stop plans of one case.
+
+    cells maps each (n_stops, dwell), in axis order, to its violations:
+    its value rules; else the case's stages and its plan's violation,
+    judged from the plan's arcs alone; else its packet bound. plans holds
+    one (arcs, [(key, config)...]) per stop count that keeps a valid cell.
+    """
+    cells, by_stops = {}, {}
+    for n_stops in stop_counts:
+        for dwell in dwells:
+            config = replace(base, n_stops=n_stops, dwell_time=dwell)
+            cells[n_stops, dwell] = _value_errors(config)
+            if not cells[n_stops, dwell]:
+                by_stops.setdefault(n_stops, []).append(((n_stops, dwell), config))
+    errors, path, field, rule = _stages(base) if by_stops else ([], None, None, None)
+    # every cell has the base's link and standoff, which pass once the stages do
+    best = _standoff_rate(base) if by_stops and not errors else None
+    plans = []
+    for n_stops, group in by_stops.items():
+        # no rule means an input failed, so its cells take those errors
+        arcs = rule(n_stops) if rule and n_stops else np.empty(0)
+        violation = _stop_arcs_error(arcs)
+        failed = errors + [f"n_stops: {violation}"] if violation else errors
+        for key, config in group:
+            cells[key] = failed or _packet_bound(config, best)
+        group = [(key, config) for key, config in group if not cells[key]]
+        if group:
+            plans.append((arcs, group))
+    return cells, path, field, plans
 
 
 def validate_config(config: ScenarioConfig) -> list:
@@ -364,10 +382,12 @@ def validate_config(config: ScenarioConfig) -> list:
 
     Once the rules on single values hold (tokens, counts, signs, finite
     numbers), the geometry is built as run_mission builds it, so the path
-    limits hold against the realized path; each failing stage adds a message.
-    Last, the packets a mission could count must stay exact in floats.
+    limits hold against the realized path; each failing stage adds a
+    message. The stop plan is judged from its arcs, not inverted. Last, the
+    packets a mission could count must stay exact in floats.
     """
-    return _checked(config)[0]
+    (errors,) = _case(config, [config.n_stops], [config.dwell_time])[0].values()
+    return errors
 
 
 def endurance(config: ScenarioConfig) -> float:
@@ -393,10 +413,12 @@ def max_stops(config: ScenarioConfig, dwell: float) -> int:
 
 def run_mission(config: ScenarioConfig) -> MissionLedger:
     """Build the scenario's layout and stop plan, then simulate the tour."""
-    errors, path, field, plan = _checked(config)
+    cells, path, field, plans = _case(config, [config.n_stops], [config.dwell_time])
+    (errors,) = cells.values()
     if errors:
         raise ConfigError(errors)
-    return simulate_tour(config, path, field, plan)
+    ((arcs, _),) = plans
+    return simulate_tour(config, path, field, StopPlan(arcs, poses_at_arcs(path, arcs)[0]))
 
 
 def _charging_pairs(link: LinkParams, field: SensorField, stops: np.ndarray):
@@ -521,7 +543,8 @@ def _energy(config: ScenarioConfig, n_stops: int, total_packets: int):
     """(flight, hover, wpt, rx, total) joules; total adds them in that order."""
     flight = config.path_perimeter / config.cruise_speed * config.uav_flight_power
     hover = (n_stops * config.dwell_time) * config.uav_flight_power
-    if config.wpt_draw_mode == "additional":
+    # 0 W bills 0 J, even over charging phases whose sum leaves float range
+    if config.wpt_draw_mode == "additional" and config.link.tx_power:
         wpt = (n_stops * (config.dwell_time * config.phase_split)) * config.link.tx_power
     else:
         wpt = 0.0

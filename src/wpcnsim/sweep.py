@@ -2,18 +2,12 @@
 plus the derived metrics: efficiency, gain ratios, peak detection,
 and the two calibration solvers.
 
-A sweep runs case by case, checking each case's cells in axis order with
-run_mission's checks in run_mission's order. First each cell's value
-rules; then the case's path, sensor field and phase, built once at 0
-stops. Then two passes over the stop counts: the first words each stop
-count's plan violation from its arcs alone, or else applies each cell's
-packet bound; the second inverts only the plans that keep a cell, one arc
-inversion and one call of run_mission's pair kernel per batch, every plan
-serving all dwells of its stop count. Last, the invalid cells take
-run_mission's message and the valid ones settle in one pass of its own
-accounting, each cell's sensors under ids of their own. Cells are pure
-functions of (base config, cell coordinates), so cases can be spread
-over worker processes without changing a single output bit.
+A sweep runs case by case. Each case takes its cells' checks and stop
+plans from the pass that run_mission runs at one cell (mission._case),
+then inverts and pairs its plans in batches and settles all its valid
+cells at once. Cells are pure functions of (base config, cell
+coordinates), so cases can be spread over worker processes without
+changing a single output bit.
 """
 
 from __future__ import annotations
@@ -29,18 +23,14 @@ from wpcnsim.mission import (
     ConfigError,
     MissionLedger,
     ScenarioConfig,
+    _case,
     _charging_pairs,
     _energy,
-    _packet_bound,
     _settle,
-    _stages,
-    _standoff_rate,
-    _value_errors,
     endurance,
     run_mission,  # noqa: F401 -- wpcnbench/tracing.py wraps sweep.run_mission
 )
-from wpcnsim.geometry import equidistant_arcs
-from wpcnsim.layout import _facing_arcs, _stop_arcs_error, _stop_positions
+from wpcnsim.layout import _stop_positions
 from wpcnsim.rf_link import received_power
 
 __all__ = [
@@ -127,50 +117,17 @@ def _batches(plans):
 
 def _sweep_case(case, base: ScenarioConfig, stop_counts: tuple, dwells: tuple) -> dict:
     """The cells of one case keyed (placement, layout, n_stops, dwell), in
-    stop count then dwell order, each checked as run_mission checks it.
+    stop count then dwell order, checked and planned by mission._case.
 
-    Top to bottom: (1) each cell's value rules; (2) the case's path, field
-    and phase, built once at 0 stops, where the plan stage cannot fail;
-    (3) per stop count, its plan's violation from its arcs, as _stages
-    words it, or else each cell's packet bound; (4) per batch of the plans
-    that keep a cell, one inversion of their arcs and one pairing; (5) the
-    invalid cells take run_mission's message and the valid ones settle
+    Each batch of plans takes one inversion of its arcs and one pairing.
+    The invalid cells take run_mission's message and the valid ones settle
     together, sensor i of the c-th valid cell under id c * n_sensors + i,
     so no two cells share an account.
     """
     n = base.n_sensors
     placement, layout = case
     base = dataclasses.replace(base, placement=placement, layout=layout)
-    cells, by_stops = {}, {}
-    for k in stop_counts:
-        for dwell in dwells:
-            key = (placement, layout, k, dwell)
-            config = dataclasses.replace(base, n_stops=k, dwell_time=dwell)
-            cells[key] = _value_errors(config)
-            if not cells[key]:
-                by_stops.setdefault(k, []).append((key, config))
-    errors, plan = [], None
-    if by_stops:
-        errors, path, field, plan = _stages(dataclasses.replace(base, n_stops=0))
-    if plan is None:  # no stop count gets as far as its plan
-        cells.update((key, errors) for group in by_stops.values() for key, _ in group)
-        by_stops = {}
-    elif placement == "p1":
-        rule = partial(_facing_arcs, path, field)
-    else:
-        rule = partial(equidistant_arcs, path, phase=base.p2_phase)
-    best, plans = None, []
-    for n_stops, group in by_stops.items():
-        arcs = rule(n_stops) if n_stops else np.empty(0)
-        violation = _stop_arcs_error(arcs)
-        failed = errors + [f"n_stops: {violation}"] if violation else errors
-        if not failed and best is None:  # every cell has the base's link and standoff
-            best = _standoff_rate(base)
-        for key, config in group:
-            cells[key] = failed or _packet_bound(config, best)
-        group = [(key, config) for key, config in group if not cells[key]]
-        if group:
-            plans.append((arcs, group))
+    cells, path, field, plans = _case(base, stop_counts, dwells)
     valid, sensors, banked = [], [], []
     for batch in _batches(plans):
         arc_sets = [arcs for arcs, _ in batch]
@@ -199,7 +156,7 @@ def _sweep_case(case, base: ScenarioConfig, stop_counts: tuple, dwells: tuple) -
                 efficiency=_per_kilojoule(total_packets, energy),
                 feasible=energy <= config.uav_battery,
             )
-    return cells
+    return {(placement, layout, *key): cell for key, cell in cells.items()}
 
 
 def sweep(

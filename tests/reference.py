@@ -9,12 +9,21 @@ checked by two independent codes.
 The reference summary builds the ledger's dict and hands it to json's
 encoder, which write_mission_summary's templates must reproduce byte for
 byte; the reference pairs pack pairs.npy's rows with `struct`, not numpy.
+mission_geometry builds the path, field and plan a config's mission flies
+through the public placers.
 """
 
 import json
 import math
 import struct
 
+from wpcnsim.geometry import ellipse_from_perimeter
+from wpcnsim.layout import (
+    place_sensors_even,
+    place_sensors_paired,
+    place_stops_equal_arcs,
+    place_stops_facing,
+)
 from wpcnsim.sweep import efficiency
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -48,6 +57,22 @@ def received_power(link, dist, incidence):
 def harvest_rate(link, power):
     """DC power banked: the rectifier's share at or above the threshold."""
     return link.rf_dc_efficiency * power if power >= link.harvest_threshold else 0.0
+
+
+def mission_geometry(config):
+    """(path, field, plan) of the mission of a config whose geometry builds."""
+    path = ellipse_from_perimeter(config.aspect_ratio, config.path_perimeter)
+    if config.layout == "s1":
+        field = place_sensors_even(path, config.n_sensors, config.standoff)
+    else:
+        field = place_sensors_paired(
+            path, config.n_sensors, config.cluster_spacing, config.standoff
+        )
+    if config.placement == "p1":
+        plan = place_stops_facing(path, field, config.n_stops)
+    else:
+        plan = place_stops_equal_arcs(path, config.n_stops, config.p2_phase)
+    return path, field, plan
 
 
 def reference_tour(config, field, plan):

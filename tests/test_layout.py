@@ -148,6 +148,19 @@ def test_stop_plan_rejects_unsorted_arcs():
         SensorField(arcs, points, points, np.zeros(3, dtype=int))
 
 
+def test_geometry_rejects_non_finite_positions_and_normals():
+    # one such sensor made the harvest reach NaN, so the tour charged nobody
+    arcs, ids = np.array([1.0, 5.0]), np.zeros(2, dtype=int)
+    for bad in (np.inf, np.nan):
+        spoiled = np.zeros((2, 2))
+        spoiled[1, 0] = bad
+        with pytest.raises(ValueError, match="stop positions must be finite"):
+            StopPlan(arcs, spoiled)
+        for positions, normals in ((spoiled, np.ones((2, 2))), (np.ones((2, 2)), spoiled)):
+            with pytest.raises(ValueError, match="sensor positions and normals must be finite"):
+                SensorField(arcs, positions, normals, ids)
+
+
 def test_negative_stop_count_rejected():
     field = place_sensors_even(PATH, 10)
     with pytest.raises(ValueError):

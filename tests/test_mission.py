@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from reference import mission_geometry
 from test_reference import SUMMARY_EDGES
 from wpcnsim import mission, received_power
 from wpcnsim.config_io import write_mission_summary
@@ -167,6 +168,22 @@ def test_a_mission_builds_its_geometry_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_validation_inverts_no_stop_arc_and_a_mission_inverts_its_own_once(monkeypatch):
+    invert, inverted = mission.poses_at_arcs, []
+
+    def spy(path, arcs):
+        inverted.append(arcs.size)
+        return invert(path, arcs)
+
+    monkeypatch.setattr(mission, "poses_at_arcs", spy)
+    for placement in ("p1", "p2"):
+        config = dataclasses.replace(DEFAULTS, placement=placement, n_stops=37)
+        assert validate_config(config) == [] and inverted == []
+        run_mission(config)
+        assert inverted == [37]
+        inverted.clear()
+
+
 def test_stop_on_a_sensor_raises():
     path = ellipse_from_perimeter(5.0, 500.0)
     field = place_sensors_even(path, 10)
@@ -198,7 +215,7 @@ def test_large_tour_memory_stays_with_the_pairs_in_reach():
 def test_pair_kernel_memory_is_its_pairs_and_a_block():
     # evaluated at once, this field's 620k x-window candidates peaked at 61.8 MiB
     config = dataclasses.replace(DEFAULTS, n_sensors=20000, n_stops=1000)
-    _, _, field, plan = mission._stages(config)
+    _, field, plan = mission_geometry(config)
     tracemalloc.start()
     try:
         pairs = mission._charging_pairs(config.link, field, plan.positions)

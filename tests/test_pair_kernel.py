@@ -5,10 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from reference import mission_geometry
 from test_reference import SMALL, WINDOWS
 from wpcnsim import mission
 from wpcnsim.layout import SensorField
-from wpcnsim.mission import ScenarioConfig, _stages
+from wpcnsim.mission import ScenarioConfig
 from wpcnsim.rf_link import harvest_rate, max_boresight_harvest_range, received_power
 
 
@@ -65,7 +66,7 @@ def _boundary():
 
 
 def _from_config(config):
-    _, _, field, plan = _stages(config)
+    _, field, plan = mission_geometry(config)
     return config.link, field, plan.positions
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from reference import (
     link_geometry,
+    mission_geometry,
     reference_pair_bytes,
     reference_summary_text,
     reference_tour,
@@ -23,7 +24,6 @@ from wpcnsim.mission import (
     SensorRecord,
     StopRecord,
     _flight_path,
-    _stages,
     run_mission,
     simulate_tour,
     validate_config,
@@ -94,7 +94,7 @@ def _accepted_configs(seed, count):
 
 def _assert_matches_reference(config):
     """simulate_tour's ledger for config, checked against the reference tour."""
-    _, path, field, plan = _stages(config)
+    path, field, plan = mission_geometry(config)
     ledger = simulate_tour(config, path, field, plan)
     stops, sensors = reference_tour(config, field, plan)
     assert [(rec.charged, rec.packets) for rec in ledger.per_stop] == stops
@@ -239,7 +239,7 @@ def _assert_window_matches_reference(config):
     ledger = _assert_matches_reference(config)
     if math.isinf(reach):
         # with no threshold, pairs charge far beyond the default reach
-        _, _, field, plan = _stages(config)
+        _, field, plan = mission_geometry(config)
         farthest = max(
             math.dist(plan.positions[rec.stop_id], field.positions[i])
             for rec in ledger.per_stop

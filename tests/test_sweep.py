@@ -241,13 +241,11 @@ def test_a_plan_that_fails_fails_only_its_own_stop_count(monkeypatch):
         arcs = facing_arcs(path, field, n_stops)
         return arcs[np.minimum(np.arange(n_stops), n_stops - 2)] if n_stops == 7 else arcs
 
-    for module in ("wpcnsim.layout", "wpcnsim.sweep"):
+    for module in ("wpcnsim.layout", "wpcnsim.mission"):
         monkeypatch.setattr(importlib.import_module(module), "_facing_arcs", repeat_an_arc_at_seven)
-    # a perimeter no other test uses, so no placer has a plan of it cached
-    base = dataclasses.replace(DEFAULTS, path_perimeter=432.1)
-    table = sweep(base, [5, 7, 9], [20.0, 70.0], [("p1", "s1")])
+    table = sweep(DEFAULTS, [5, 7, 9], [20.0, 70.0], [("p1", "s1")])
     for (placement, layout, n_stops, dwell), cell in table.cells.items():
-        config = dataclasses.replace(base, n_stops=n_stops, dwell_time=dwell)
+        config = dataclasses.replace(DEFAULTS, n_stops=n_stops, dwell_time=dwell)
         if n_stops == 7:
             with pytest.raises(ConfigError, match="^n_stops: stop arcs must be strictly") as err:
                 run_mission(config)

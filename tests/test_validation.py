@@ -14,7 +14,7 @@ from wpcnsim.cli import main
 from wpcnsim.config_io import parse_config, parse_config_text
 from wpcnsim.geometry import ellipse_from_perimeter
 from wpcnsim.mission import ConfigError, ScenarioConfig, run_mission, validate_config
-from wpcnsim.sweep import efficiency, sweep
+from wpcnsim.sweep import SweepCell, efficiency, sweep
 
 DEFAULTS = ScenarioConfig()
 
@@ -121,6 +121,28 @@ def test_zero_stop_base_with_an_overflowing_link_sweeps_to_error_cells(key, tmp_
     assert main(args) == 0
     out, err = capsys.readouterr()
     assert "16 cells (0 infeasible, 16 errors)" in out and err == ""
+
+
+def test_zero_watts_bill_no_wpt_over_a_dwell_beyond_float_range(tmp_path, capsys):
+    # the additional mode billed inf s of charging times 0 W, which is NaN J
+    values = {
+        "tx_power": 0.0,
+        "wpt_draw_mode": "additional",
+        "n_stops": 5,
+        "dwell_time": sys.float_info.max,
+    }
+    path = tmp_path / "dark.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    config = _override(DEFAULTS, **values)
+    ledger = run_mission(config)
+    assert ledger.wpt_energy == 0.0 and ledger.total_uav_energy == math.inf
+    assert efficiency(ledger) == 0.0 and not ledger.feasible
+    table = sweep(config, [5], [config.dwell_time], [("p1", "s1")])
+    assert table.cell("p1", "s1", 5, config.dwell_time) == SweepCell(
+        ledger.total_packets, ledger.total_uav_energy, efficiency(ledger), ledger.feasible
+    )
 
 
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
