@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from wpcnsim.config_io import (
+    _MISSION_ARTIFACTS,
     _read_config_file,
     parse_config_text,
     render_config,
@@ -52,7 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one mission and report its ledger")
     sim.add_argument("--config", metavar="PATH", help="key = value config file")
-    sim.add_argument("--out", metavar="DIR", help="write summary.json, pairs.npy, manifest.json")
+    sim.add_argument(
+        "--out", metavar="DIR", help=f"write {', '.join(_MISSION_ARTIFACTS)}, manifest.json"
+    )
     sim.add_argument("--stops", type=int, metavar="N", help="override stop count")
     sim.add_argument("--dwell", type=float, metavar="SECONDS", help="override dwell time")
     sim.add_argument("--case", choices=sorted(_CASES), help="override placement and layout")
@@ -142,8 +145,8 @@ def _cmd_simulate(args) -> int:
         try:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            summary = write_mission_summary(ledger, out)
-            write_manifest(config, _digest(config), [summary.name, "pairs.npy"], out)
+            write_mission_summary(ledger, out)
+            write_manifest(config, _digest(config), _MISSION_ARTIFACTS, out)
         except OSError as err:
             print(f"cannot write to {args.out}: {err}", file=sys.stderr)
             return EXIT_IO

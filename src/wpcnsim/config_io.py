@@ -1,10 +1,12 @@
 """Flat key = value configuration files and deterministic result artifacts.
 
 Config files hold one `key = value` per line with `#` comments; every key
-has a default, so an empty file is a complete configuration. Artifacts
-(sweep.csv, summary.json, pairs.npy, manifest.json) are emitted with LF
-endings, '.' decimals, 9-significant-digit numbers, sorted JSON keys, or
-exact float bits, so identical inputs always produce byte-identical files.
+has a default, so an empty file is a complete configuration. Text artifacts
+(sweep.csv and the summary.json and manifest.json files) are emitted with LF
+endings, '.' decimals, 9-significant-digit numbers or a float's repr, and
+sorted JSON keys; a mission's tables (sensors.npy, stops.npy, pairs.npy) are
+little-endian structured arrays that hold the ledger's exact bits. So
+identical inputs always produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -174,72 +176,40 @@ def _dwell_text(dwell: float) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    path.write_text(text, encoding="utf-8", newline="\n")
+    with _rewrite(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-# summary.json as json.dumps(..., indent=2, sort_keys=True) lays it out: keys
-# sorted, and numbers by repr, as json renders int and float
-_SUMMARY = (
-    '{\n  "efficiency_pkt_per_kj": %r,\n  "feasible": %s,\n  "flight_energy_j": %r,\n'
-    '  "hover_energy_j": %r,\n  "mission_time_s": %r,\n  "per_sensor": %s,\n  "per_stop": %s,\n'
-    '  "rx_energy_j": %r,\n  "total_packets": %r,\n  "total_uav_energy_j": %r,\n'
-    '  "wpt_energy_j": %r\n}\n'
+# a mission's artifacts, as write_mission_summary writes them and the
+# manifest lists them: its scalars, then one table per sensor, stop and
+# charging pair, each row laid out by the table's dtype below
+_MISSION_ARTIFACTS = ("summary.json", "sensors.npy", "stops.npy", "pairs.npy")
+_ROWS = (
+    np.dtype([("sensor_id", "<i8"), ("harvested_j", "<f8"), ("spent_j", "<f8"),
+              ("residual_j", "<f8"), ("packets", "<i8")]),
+    np.dtype([("stop_id", "<i8"), ("n_charged", "<i8"), ("packets", "<i8")]),
+    np.dtype([("stop_id", "<i8"), ("sensor_id", "<i8"), ("delivered_j", "<f8")]),
 )
-_SENSOR = (
-    '{\n      "harvested_j": %r,\n      "packets": %r,\n      "residual_j": %r,\n'
-    '      "sensor_id": %r,\n      "spent_j": %r\n    }'
-)
-# a stop's entry holds integers alone; its charging pairs go to pairs.npy
-_STOP = '{\n      "n_charged": %r,\n      "packets": %r,\n      "stop_id": %r\n    }'
-# rows rendered and written at once, so the ledger's text is never held whole
-_WRITE_BLOCK = 512
-# one row per charging pair of a mission, in pairs.npy
-_PAIR = np.dtype([("stop_id", "<i8"), ("sensor_id", "<i8"), ("delivered_j", "<f8")])
-
-
-def _json_text(text: str) -> str:
-    # repr spells non-finite floats inf, -inf and nan, words that no key holds
-    return text.replace("inf", "Infinity").replace("nan", "NaN")
 
 
 def _columns(ledger: MissionLedger) -> tuple:
     """The ledger's columns, laid out as mission._records reads them: a tour's
-    own until its records are read, else the records' values, the pairs' as
-    int64 and float64 and the rest as the records' own objects (object
-    arrays), so that they render as the records would."""
+    own until its records are read, else the records' values, each field at
+    its table's dtype, so that a record's float keeps its bits."""
     columns = vars(ledger).get("_columns")
     if columns is not None:
         return columns
     per_stop = ledger.per_stop
     charged = tuple(map(attrgetter("charged"), per_stop))
     return (
-        np.fromiter(map(attrgetter("stop_id"), per_stop), object),
+        np.fromiter(map(attrgetter("stop_id"), per_stop), np.int64),
         np.fromiter(map(len, charged), np.int64),
-        np.fromiter(map(attrgetter("packets"), per_stop), object),
+        np.fromiter(map(attrgetter("packets"), per_stop), np.int64),
         np.fromiter(chain.from_iterable(charged), np.int64),
         np.fromiter(chain.from_iterable(map(attrgetter("delivered"), per_stop)), np.float64),
-        *(np.fromiter(map(attrgetter(f.name), ledger.per_sensor), object)
-          for f in dataclasses.fields(SensorRecord)),
+        *(np.fromiter(map(attrgetter(field.name), ledger.per_sensor), kind)
+          for field, (_, kind) in zip(dataclasses.fields(SensorRecord), _ROWS[0].descr)),
     )
-
-
-def _write_rows(fh, columns, template: str, spell=str) -> None:
-    """A json array at indent 4 of one entry per row of the columns, each block
-    of rows rendered by one % of the template repeated, as spell(text)."""
-    size = len(columns[0])
-    if not size:
-        fh.write("[]")
-        return
-    fh.write("[\n    ")
-    for start in range(0, size, _WRITE_BLOCK):
-        rows = zip(*(column[start : start + _WRITE_BLOCK].tolist() for column in columns))
-        values = tuple(chain.from_iterable(rows))
-        text = ",\n    ".join([template] * (len(values) // len(columns))) % values
-        if start:
-            fh.write(",\n    ")
-        fh.write(spell(text))
-    fh.write("\n  ]")
 
 
 @contextmanager
@@ -256,30 +226,30 @@ def _rewrite(path: Path, mode: str, **kwargs):
 
 
 def write_mission_summary(ledger: MissionLedger, out_dir) -> Path:
-    """Write the ledger with derived efficiency to summary.json, block by block,
-    and its charging pairs to pairs.npy; return the summary.json path."""
+    """Write the ledger's scalars with derived efficiency to summary.json, and
+    its sensors, stops and charging pairs (by stop, then in charged order) to
+    sensors.npy, stops.npy and pairs.npy; return the summary.json path."""
     stop_id, n_charged, stop_packets, charged, delivered, *accounts = _columns(ledger)
-    sensor_id, harvested, spent, residual, packets = accounts
-    # NUL, which no rendered number holds, marks the places of the two arrays
-    text = _SUMMARY % (
-        efficiency(ledger), "true" if ledger.feasible else "false", ledger.flight_energy,
-        ledger.hover_energy, ledger.mission_time, "\0", "\0",
-        ledger.rx_energy, ledger.total_packets, ledger.total_uav_energy, ledger.wpt_energy,
-    )
-    head, middle, tail = _json_text(text).split("\0")
-    path = Path(out_dir) / "summary.json"
-    with _rewrite(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head)
-        _write_rows(fh, (harvested, packets, residual, sensor_id, spent), _SENSOR, _json_text)
-        fh.write(middle)
-        _write_rows(fh, (n_charged, stop_packets, stop_id), _STOP)
-        fh.write(tail)
-    # every charging pair, by stop and then in charged order
-    pairs = np.empty(charged.size, dtype=_PAIR)
-    pairs["stop_id"] = np.repeat(stop_id, n_charged)
-    pairs["sensor_id"], pairs["delivered_j"] = charged, delivered
-    with _rewrite(path.with_name("pairs.npy"), "wb") as fh:
-        np.save(fh, pairs, allow_pickle=False)
+    path, *tables = (Path(out_dir) / name for name in _MISSION_ARTIFACTS)
+    _write_json(path, {
+        "efficiency_pkt_per_kj": efficiency(ledger),
+        "feasible": ledger.feasible,
+        "flight_energy_j": ledger.flight_energy,
+        "hover_energy_j": ledger.hover_energy,
+        "mission_time_s": ledger.mission_time,
+        "rx_energy_j": ledger.rx_energy,
+        "total_packets": ledger.total_packets,
+        "total_uav_energy_j": ledger.total_uav_energy,
+        "wpt_energy_j": ledger.wpt_energy,
+    })
+    stops = (stop_id, n_charged, stop_packets)
+    pairs = (np.repeat(stop_id, n_charged), charged, delivered)
+    for table, dtype, columns in zip(tables, _ROWS, (accounts, stops, pairs)):
+        rows = np.empty(len(columns[0]), dtype)
+        for name, column in zip(dtype.names, columns):
+            rows[name] = column
+        with _rewrite(table, "wb") as fh:
+            np.save(fh, rows, allow_pickle=False)
     return path
 
 

@@ -1,4 +1,4 @@
-"""Slow oracles: the scalar tour for simulate_tour, json's text for summary.json.
+"""Slow oracles: the scalar tour for simulate_tour, json and struct for the artifacts.
 
 The reference tour walks the stops in tour order, each sensor in turn and
 each packet one at a time, with the link budget written out in plain
@@ -6,9 +6,10 @@ each packet one at a time, with the link budget written out in plain
 none of the vectorized kernel, so a packet count on which both agree is
 checked by two independent codes.
 
-The reference summary builds the ledger's dict and hands it to json's
-encoder, which write_mission_summary's templates must reproduce byte for
-byte; the reference pairs pack pairs.npy's rows with `struct`, not numpy.
+The reference summary builds the ledger's dict of scalars and hands it to
+json's encoder, which write_mission_summary must reproduce byte for byte;
+the reference sensors, stops and pairs pack the rows of sensors.npy,
+stops.npy and pairs.npy from the records with `struct`, not numpy.
 mission_geometry builds the path, field and plan a config's mission flies
 through the public placers.
 """
@@ -125,26 +126,26 @@ def reference_summary_text(ledger):
         "efficiency_pkt_per_kj": efficiency(ledger),
         "feasible": ledger.feasible,
         "mission_time_s": ledger.mission_time,
-        "per_stop": [
-            {
-                "stop_id": rec.stop_id,
-                "n_charged": len(rec.charged),
-                "packets": rec.packets,
-            }
-            for rec in ledger.per_stop
-        ],
-        "per_sensor": [
-            {
-                "sensor_id": rec.sensor_id,
-                "harvested_j": rec.harvested,
-                "spent_j": rec.spent,
-                "residual_j": rec.residual,
-                "packets": rec.packets,
-            }
-            for rec in ledger.per_sensor
-        ],
     }
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def reference_sensor_bytes(ledger):
+    """sensors.npy's data: (sensor_id, harvested_j, spent_j, residual_j,
+    packets) per sensor, in record order, packed little-endian."""
+    return b"".join(
+        struct.pack("<qdddq", rec.sensor_id, rec.harvested, rec.spent, rec.residual, rec.packets)
+        for rec in ledger.per_sensor
+    )
+
+
+def reference_stop_bytes(ledger):
+    """stops.npy's data: (stop_id, n_charged, packets) per stop, in record
+    order, packed little-endian."""
+    return b"".join(
+        struct.pack("<qqq", rec.stop_id, len(rec.charged), rec.packets)
+        for rec in ledger.per_stop
+    )
 
 
 def reference_pair_bytes(ledger):

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 
 from wpcnsim.cli import main
 from wpcnsim.config_io import (
+    _MISSION_ARTIFACTS,
     CONFIG_KEYS,
     config_echo,
     parse_config,
@@ -226,22 +230,24 @@ def test_default_sweep_artifacts_match_golden_digests(tmp_path, default_table):
 
 def test_mission_summary_matches_ledger(tmp_path):
     ledger = run_mission(replace(DEFAULTS, n_stops=80))
-    data = json.loads(write_mission_summary(ledger, tmp_path).read_text())
+    path = write_mission_summary(ledger, tmp_path)
+    data = json.loads(path.read_text())
     assert data["total_packets"] == ledger.total_packets == 400
     assert data["total_uav_energy_j"] == ledger.total_uav_energy
     assert data["feasible"] is True
     assert data["efficiency_pkt_per_kj"] == pytest.approx(1.398073454779314)
-    assert len(data["per_stop"]) == 80
-    assert len(data["per_sensor"]) == 100
-    assert sum(rec["packets"] for rec in data["per_sensor"]) == 400
-    for rec in data["per_sensor"]:
-        assert rec["residual_j"] == pytest.approx(
-            rec["harvested_j"] - rec["spent_j"], abs=1e-15
-        )
+    stops = np.load(path.with_name("stops.npy"), allow_pickle=False)
+    sensors = np.load(path.with_name("sensors.npy"), allow_pickle=False)
+    assert len(stops) == 80
+    assert len(sensors) == 100
+    assert stops["packets"].sum() == sensors["packets"].sum() == 400
+    residual = sensors["harvested_j"] - sensors["spent_j"]
+    assert sensors["residual_j"] == pytest.approx(residual, abs=1e-15)
 
 
 def test_mission_summary_is_written_a_block_at_a_time(tmp_path):
-    # rendered whole, this 5000 x 1000 ledger's text and its copies peaked at 9.1 MiB
+    # rendered whole as json text, this 5000 x 1000 ledger's per-sensor and
+    # per-stop entries and their copies peaked at 9.1 MiB
     ledger = run_mission(replace(DEFAULTS, n_sensors=5000, n_stops=1000))
     tracemalloc.start()
     try:
@@ -254,16 +260,16 @@ def test_mission_summary_is_written_a_block_at_a_time(tmp_path):
 
 def test_a_small_ledger_written_over_a_large_ones_artifacts_leaves_its_own_bytes(tmp_path):
     small = run_mission(replace(DEFAULTS, n_stops=3))
-    large = run_mission(replace(DEFAULTS, n_stops=80))
+    large = run_mission(replace(DEFAULTS, n_stops=80, n_sensors=200))
     fresh, over = tmp_path / "fresh", tmp_path / "over"
     fresh.mkdir()
     over.mkdir()
     write_mission_summary(small, fresh)
     write_mission_summary(large, over)
-    for name in ("summary.json", "pairs.npy"):
+    for name in _MISSION_ARTIFACTS:
         assert (over / name).stat().st_size > (fresh / name).stat().st_size
     write_mission_summary(small, over)
-    for name in ("summary.json", "pairs.npy"):
+    for name in _MISSION_ARTIFACTS:
         assert (over / name).read_bytes() == (fresh / name).read_bytes()
 
 
@@ -306,21 +312,63 @@ def test_cli_simulate_reference_mission(capsys, tmp_path):
     assert summary["total_packets"] == 400
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["n_stops"] == 80
-    assert manifest["artifacts"] == ["pairs.npy", "summary.json"]
+    assert manifest["artifacts"] == ["pairs.npy", "sensors.npy", "stops.npy", "summary.json"]
+    sensors = np.load(out / "sensors.npy", allow_pickle=False)
+    stops = np.load(out / "stops.npy", allow_pickle=False)
+    assert sensors["packets"].sum() == stops["packets"].sum() == 400
+
+
+def _simulate_digests(out, names):
+    return [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names]
+
+
+# what numpy's run-time CPU dispatch cannot move: scalars, counts, the manifest
+DISPATCH_FREE = ("summary.json", "stops.npy", "manifest.json")
 
 
 def test_cli_simulate_artifacts_match_golden_digests(capsys, tmp_path):
     assert main(["simulate", "--stops", "80", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    digests = [
-        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("summary.json", "manifest.json", "pairs.npy")
+    assert _simulate_digests(tmp_path, DISPATCH_FREE) == [
+        "08f40724040414d0708a6396e2be77824a96cfd6aa635a8138f3166efd34ef27",
+        "ca681fa753066bd7376de0284d9ab1caff01265907b04543b7b6ce4ad15287a2",
+        "c069e9aff8cc2f1fc46c0104a695fd8e1688cea660bcf5aba29b871efb8dfab0",
     ]
-    assert digests == [
-        "fa60bc46b9485196a7241138bbf14a9bb8b46a39d1924dd3fd88e95ba496428a",
-        "0f7dfebdb7552deaf390a38ef3aee4e8f1535f36d75b7704efaf0c75ca625bec",
+
+
+def test_cli_simulate_float_tables_match_golden_digests(capsys, tmp_path):
+    """The delivered and harvested energies, whose bits numpy's float64
+    arccos, log10 and power loops set: these digests hold only on hosts
+    that dispatch them to AVX-512, until the link budget uses correctly
+    rounded operations alone (ROADMAP item 5)."""
+    assert main(["simulate", "--stops", "80", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _simulate_digests(tmp_path, ("pairs.npy", "sensors.npy")) == [
         "74ca5e52096e4723e894578966bef128acca5b91cd27ab1a61ba4cb51aa7cf5a",
+        "0ebf557a843b9ef516e449f72408ec49231c8d5626ab1ac6e6dd3a1537405c69",
     ]
+
+
+def test_cli_simulate_dispatch_free_artifacts_hold_without_avx512(tmp_path):
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath  # numpy 2, else 1.x
+    avx512 = [
+        f for f in umath.__cpu_dispatch__
+        if ("AVX512" in f or f == "X86_V4") and umath.__cpu_features__[f]
+    ]
+    if not avx512:
+        pytest.skip("this host dispatches no numpy loop to AVX-512")
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = []
+    for leg, disabled in (("full", ""), ("no-avx512", " ".join(avx512))):
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        out = tmp_path / leg
+        args = [sys.executable, "-m", "wpcnsim", "simulate", "--stops", "80", "--out", str(out)]
+        result = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        digests.append(_simulate_digests(out, DISPATCH_FREE))
+    assert digests[0] == digests[1]
 
 
 def test_cli_simulate_runs_byte_identical(capsys, tmp_path):
@@ -328,7 +376,7 @@ def test_cli_simulate_runs_byte_identical(capsys, tmp_path):
         assert main(["simulate", "--stops", "80", "--out", str(tmp_path / run)]) == 0
     capsys.readouterr()
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
-    assert names == ["manifest.json", "pairs.npy", "summary.json"]
+    assert names == ["manifest.json", "pairs.npy", "sensors.npy", "stops.npy", "summary.json"]
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 

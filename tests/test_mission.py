@@ -11,7 +11,7 @@ import pytest
 from reference import mission_geometry
 from test_reference import SUMMARY_EDGES
 from wpcnsim import mission, received_power
-from wpcnsim.config_io import write_mission_summary
+from wpcnsim.config_io import _MISSION_ARTIFACTS, write_mission_summary
 from wpcnsim.geometry import ellipse_from_perimeter, poses_at_arcs
 from wpcnsim.layout import StopPlan, place_sensors_even, place_stops_facing
 from wpcnsim.mission import (
@@ -279,8 +279,8 @@ def test_a_ledger_writes_the_same_bytes_whether_its_records_were_read(build, tmp
     for index, ledger in enumerate(_unread_read_rebuilt(build)):
         out = tmp_path / str(index)
         out.mkdir()
-        path = write_mission_summary(ledger, out)
-        written.append((path.read_bytes(), path.with_name("pairs.npy").read_bytes()))
+        write_mission_summary(ledger, out)
+        written.append([(out / name).read_bytes() for name in _MISSION_ARTIFACTS])
     assert written[0] == written[1] == written[2]
 
 

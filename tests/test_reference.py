@@ -1,7 +1,6 @@
-"""simulate_tour, summary.json and pairs.npy against the slow oracles on random small missions."""
+"""simulate_tour and a mission's artifacts against the slow oracles on random small missions."""
 
 import dataclasses
-import json
 import math
 import time
 from collections import Counter
@@ -13,10 +12,12 @@ from reference import (
     link_geometry,
     mission_geometry,
     reference_pair_bytes,
+    reference_sensor_bytes,
+    reference_stop_bytes,
     reference_summary_text,
     reference_tour,
 )
-from wpcnsim import config_io, mission
+from wpcnsim import mission
 from wpcnsim.config_io import write_mission_summary
 from wpcnsim.mission import (
     MissionLedger,
@@ -129,22 +130,35 @@ def test_simulate_tour_matches_reference():
     assert elapsed < 5.0
 
 
+SENSOR_DTYPE = np.dtype(
+    [("sensor_id", "<i8"), ("harvested_j", "<f8"), ("spent_j", "<f8"),
+     ("residual_j", "<f8"), ("packets", "<i8")]
+)
+STOP_DTYPE = np.dtype([("stop_id", "<i8"), ("n_charged", "<i8"), ("packets", "<i8")])
 PAIR_DTYPE = np.dtype([("stop_id", "<i8"), ("sensor_id", "<i8"), ("delivered_j", "<f8")])
+
+
+def _load_table(path, dtype):
+    table = np.load(path, allow_pickle=False)
+    assert table.dtype == dtype and table.ndim == 1
+    return table
 
 
 def _assert_summary_matches_reference(ledger, out_dir):
     path = write_mission_summary(ledger, out_dir)
-    written = path.read_bytes()
-    assert written == reference_summary_text(ledger).encode("utf-8")
-    # every charging pair, bit for bit, with the stops' counts slicing it by stop
-    pairs = np.load(path.with_name("pairs.npy"), allow_pickle=False)
-    assert pairs.dtype == PAIR_DTYPE and pairs.ndim == 1
+    assert path.read_bytes() == reference_summary_text(ledger).encode("utf-8")
+    # every sensor, stop and charging pair, bit for bit
+    sensors = _load_table(path.with_name("sensors.npy"), SENSOR_DTYPE)
+    assert sensors.tobytes() == reference_sensor_bytes(ledger)
+    stops = _load_table(path.with_name("stops.npy"), STOP_DTYPE)
+    assert stops.tobytes() == reference_stop_bytes(ledger)
+    pairs = _load_table(path.with_name("pairs.npy"), PAIR_DTYPE)
     assert pairs.tobytes() == reference_pair_bytes(ledger)
-    per_stop = json.loads(written)["per_stop"]
-    ends = np.cumsum([0] + [stop["n_charged"] for stop in per_stop])
+    # the stops' counts slice the pairs by stop
+    ends = np.cumsum([0, *stops["n_charged"].tolist()])
     assert ends[-1] == pairs.size
-    for stop, rec, a, b in zip(per_stop, ledger.per_stop, ends, ends[1:]):
-        assert set(pairs["stop_id"][a:b].tolist()) <= {stop["stop_id"]}
+    for stop_id, rec, a, b in zip(stops["stop_id"].tolist(), ledger.per_stop, ends, ends[1:]):
+        assert set(pairs["stop_id"][a:b].tolist()) <= {stop_id}
         assert tuple(pairs["sensor_id"][a:b].tolist()) == rec.charged
 
 
@@ -174,7 +188,7 @@ _LEDGER = dict(
     mission_time=80.0,
 )
 _REFERENCE = ScenarioConfig()
-# ledgers whose summaries hold empty arrays or non-finite numbers
+# ledgers whose artifacts hold empty tables or non-finite numbers
 SUMMARY_EDGES = {
     "no-stops": lambda: run_mission(dataclasses.replace(_REFERENCE, n_stops=0)),
     "stops-charge-nobody": lambda: run_mission(
@@ -185,12 +199,16 @@ SUMMARY_EDGES = {
     "one-sensor": lambda: run_mission(dataclasses.replace(_REFERENCE, n_sensors=1)),
     "inf-energies": lambda: run_mission(dataclasses.replace(_REFERENCE, cruise_speed=1e-305)),
     "no-records": lambda: MissionLedger(**_LEDGER),
+    # sensors.npy keeps inf, -inf and NaN bit for bit
     "non-finite-records": lambda: MissionLedger(
         **dict(
             _LEDGER,
             per_stop=(StopRecord(0, (), (), 0), StopRecord(1, (0,), (math.inf,), 0)),
             per_sensor=(SensorRecord(0, math.inf, -math.inf, math.nan, 0),),
         )
+    ),
+    "negative-zero-sensor": lambda: MissionLedger(
+        **dict(_LEDGER, per_sensor=(SensorRecord(0, -0.0, 0.0, -0.0, 0),))
     ),
     # pairs.npy keeps each float's bits, a NaN's and a -0.0's among them
     "nan-and-negative-zero-pairs": lambda: MissionLedger(
@@ -202,15 +220,6 @@ SUMMARY_EDGES = {
 @pytest.mark.parametrize("build", SUMMARY_EDGES.values(), ids=SUMMARY_EDGES.keys())
 def test_mission_summary_edges_match_json_reference(build, tmp_path):
     _assert_summary_matches_reference(build(), tmp_path)
-
-
-@pytest.mark.parametrize("block", [1, 7])
-def test_mission_summary_in_small_blocks_matches_json_reference(block, monkeypatch, tmp_path):
-    monkeypatch.setattr(config_io, "_WRITE_BLOCK", block)
-    for build in SUMMARY_EDGES.values():
-        _assert_summary_matches_reference(build(), tmp_path)
-    for config in _accepted_configs(77, 20):
-        _assert_summary_matches_reference(run_mission(config), tmp_path)
 
 
 SMALL = dataclasses.replace(ScenarioConfig(), n_sensors=40, n_stops=60)
