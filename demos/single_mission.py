@@ -20,10 +20,10 @@ def describe(tag, config):
           f"+ wpt {ledger.wpt_energy:.1f} J + rx {ledger.rx_energy:.1f} J "
           f"= {ledger.total_uav_energy:.1f} J")
     print(f"battery {config.uav_battery:.0f} J -> feasible {ledger.feasible}")
-    counts = np.array([rec.packets for rec in ledger.per_sensor])
+    counts = ledger.sensors["packets"]
     print(f"packets {ledger.total_packets} from {np.count_nonzero(counts)} sensors "
           f"(max {counts.max()} per sensor), {counts.size - np.count_nonzero(counts)} unvisited")
-    residuals = np.array([rec.residual for rec in ledger.per_sensor])
+    residuals = ledger.sensors["residual_j"]
     print(f"stranded charge {residuals.sum():.4f} J across the field")
     print(f"efficiency {efficiency(ledger):.4f} packets per kJ")
     print()

@@ -145,6 +145,8 @@ def _cmd_simulate(args) -> int:
         try:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
+            # the manifest goes until the artifacts it lists are written
+            (out / "manifest.json").unlink(missing_ok=True)
             write_mission_summary(ledger, out)
             write_manifest(config, _digest(config), _MISSION_ARTIFACTS, out)
         except OSError as err:
@@ -195,6 +197,7 @@ def _cmd_sweep(args) -> int:
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        (out / "manifest.json").unlink(missing_ok=True)
         csv_path = write_sweep_csv(table, out)
         summary = write_sweep_summary(table, out)
         write_manifest(base, _digest(base), [csv_path.name, summary.name], out)

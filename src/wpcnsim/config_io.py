@@ -16,8 +16,6 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +25,7 @@ from wpcnsim.mission import (
     ConfigError,
     MissionLedger,
     ScenarioConfig,
-    SensorRecord,
+    _TABLES,
     _leaves,
     validate_config,
 )
@@ -180,36 +178,8 @@ def _write_json(path: Path, obj) -> None:
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-# a mission's artifacts, as write_mission_summary writes them and the
-# manifest lists them: its scalars, then one table per sensor, stop and
-# charging pair, each row laid out by the table's dtype below
-_MISSION_ARTIFACTS = ("summary.json", "sensors.npy", "stops.npy", "pairs.npy")
-_ROWS = (
-    np.dtype([("sensor_id", "<i8"), ("harvested_j", "<f8"), ("spent_j", "<f8"),
-              ("residual_j", "<f8"), ("packets", "<i8")]),
-    np.dtype([("stop_id", "<i8"), ("n_charged", "<i8"), ("packets", "<i8")]),
-    np.dtype([("stop_id", "<i8"), ("sensor_id", "<i8"), ("delivered_j", "<f8")]),
-)
-
-
-def _columns(ledger: MissionLedger) -> tuple:
-    """The ledger's columns, laid out as mission._records reads them: a tour's
-    own until its records are read, else the records' values, each field at
-    its table's dtype, so that a record's float keeps its bits."""
-    columns = vars(ledger).get("_columns")
-    if columns is not None:
-        return columns
-    per_stop = ledger.per_stop
-    charged = tuple(map(attrgetter("charged"), per_stop))
-    return (
-        np.fromiter(map(attrgetter("stop_id"), per_stop), np.int64),
-        np.fromiter(map(len, charged), np.int64),
-        np.fromiter(map(attrgetter("packets"), per_stop), np.int64),
-        np.fromiter(chain.from_iterable(charged), np.int64),
-        np.fromiter(chain.from_iterable(map(attrgetter("delivered"), per_stop)), np.float64),
-        *(np.fromiter(map(attrgetter(field.name), ledger.per_sensor), kind)
-          for field, (_, kind) in zip(dataclasses.fields(SensorRecord), _ROWS[0].descr)),
-    )
+# a mission's artifacts, as write_mission_summary writes them and the manifest lists them
+_MISSION_ARTIFACTS = ("summary.json", *(f"{name}.npy" for name in _TABLES))
 
 
 @contextmanager
@@ -226,11 +196,9 @@ def _rewrite(path: Path, mode: str, **kwargs):
 
 
 def write_mission_summary(ledger: MissionLedger, out_dir) -> Path:
-    """Write the ledger's scalars with derived efficiency to summary.json, and
-    its sensors, stops and charging pairs (by stop, then in charged order) to
-    sensors.npy, stops.npy and pairs.npy; return the summary.json path."""
-    stop_id, n_charged, stop_packets, charged, delivered, *accounts = _columns(ledger)
-    path, *tables = (Path(out_dir) / name for name in _MISSION_ARTIFACTS)
+    """Write the ledger's scalars with derived efficiency to summary.json and
+    each of its tables to <name>.npy; return the summary.json path."""
+    path = Path(out_dir) / "summary.json"
     _write_json(path, {
         "efficiency_pkt_per_kj": efficiency(ledger),
         "feasible": ledger.feasible,
@@ -242,14 +210,9 @@ def write_mission_summary(ledger: MissionLedger, out_dir) -> Path:
         "total_uav_energy_j": ledger.total_uav_energy,
         "wpt_energy_j": ledger.wpt_energy,
     })
-    stops = (stop_id, n_charged, stop_packets)
-    pairs = (np.repeat(stop_id, n_charged), charged, delivered)
-    for table, dtype, columns in zip(tables, _ROWS, (accounts, stops, pairs)):
-        rows = np.empty(len(columns[0]), dtype)
-        for name, column in zip(dtype.names, columns):
-            rows[name] = column
-        with _rewrite(table, "wb") as fh:
-            np.save(fh, rows, allow_pickle=False)
+    for name in _TABLES:
+        with _rewrite(path.with_name(f"{name}.npy"), "wb") as fh:
+            np.save(fh, getattr(ledger, name), allow_pickle=False)
     return path
 
 
@@ -270,7 +233,8 @@ def write_sweep_csv(table: SweepTable, out_dir) -> Path:
             f"{'true' if cell.feasible else 'false'}"
         )
     path = Path(out_dir) / "sweep.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    with _rewrite(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(rows) + "\n")
     return path
 
 

@@ -122,14 +122,26 @@ class SensorRecord:
     packets: int
 
 
-@dataclass(frozen=True)
+# a ledger's tables, as sensors.npy, stops.npy and pairs.npy hold them: a row
+# per sensor by id, per stop in tour order, per charging pair by stop and id
+_TABLES = {
+    "sensors": np.dtype([("sensor_id", "<i8"), ("harvested_j", "<f8"), ("spent_j", "<f8"),
+                         ("residual_j", "<f8"), ("packets", "<i8")]),
+    "stops": np.dtype([("stop_id", "<i8"), ("n_charged", "<i8"), ("packets", "<i8")]),
+    "pairs": np.dtype([("stop_id", "<i8"), ("sensor_id", "<i8"), ("delivered_j", "<f8")]),
+}
+# a scalar field's type by its annotation, which postponed evaluation leaves a string
+_SCALARS = {"float": float, "int": int, "bool": bool}
+
+
+@dataclass(frozen=True, eq=False)
 class MissionLedger:
     """Joule-exact accounting of one mission.
 
     total_uav_energy is flight + hover + wpt + rx in exactly that order;
-    feasible means the total fits the battery. A tour's ledger keeps its
-    accounts as columns until per_stop or per_sensor is first read, then
-    builds both and drops the columns.
+    feasible means the total fits the battery. The scalars are Python's;
+    the tables are read-only arrays of _TABLES' dtypes, from anything
+    np.asarray takes. == and hash compare the scalars and the tables' bytes.
     """
 
     total_uav_energy: float
@@ -137,34 +149,50 @@ class MissionLedger:
     hover_energy: float
     wpt_energy: float
     rx_energy: float
-    per_stop: tuple
-    per_sensor: tuple
+    sensors: np.ndarray
+    stops: np.ndarray
+    pairs: np.ndarray
     total_packets: int
     feasible: bool
     mission_time: float
 
-    def __getattr__(self, name):
-        # reached only for what the instance lacks: a tour's unread records
-        columns = vars(self).get("_columns")
-        if columns is None or name not in ("per_stop", "per_sensor"):
-            raise AttributeError(name)
-        vars(self).update(zip(("per_stop", "per_sensor"), _records(columns)))
-        vars(self).pop("_columns", None)
-        return vars(self)[name]
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name in _TABLES:
+                # no copy of a table of its own dtype, and the caller's stays writable
+                value = np.asarray(value, _TABLES[field.name]).view()
+                value.flags.writeable = False
+            else:
+                value = _SCALARS[field.type](value)
+            object.__setattr__(self, field.name, value)
 
+    def __reduce__(self):
+        # through the constructor, so that the tables come back read-only
+        return MissionLedger, tuple(getattr(self, field.name) for field in fields(self))
 
-# A ledger's columns hold its records' values in record order: per stop its
-# id, how many sensors charged there and its packets; per charging pair the
-# sensor and the energy delivered; per sensor the fields of its SensorRecord.
-def _records(columns: tuple):
-    """(per_stop, per_sensor) records of the columns."""
-    stop_id, n_charged, stop_packets, charged, delivered, *accounts = columns
-    ends = np.cumsum(n_charged).tolist()
-    slices = list(map(slice, [0] + ends[:-1], ends))
-    charged, delivered = charged.tolist(), delivered.tolist()
-    per_stop = tuple(map(StopRecord, stop_id.tolist(), (tuple(charged[s]) for s in slices),
-                         (tuple(delivered[s]) for s in slices), stop_packets.tolist()))
-    return per_stop, tuple(map(SensorRecord, *(column.tolist() for column in accounts)))
+    def _key(self) -> tuple:
+        values = (getattr(self, field.name) for field in fields(self))
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, MissionLedger) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    @property
+    def per_stop(self) -> tuple:
+        """A StopRecord per stop, built from the tables on each read."""
+        ends = np.cumsum(self.stops["n_charged"]).tolist()
+        charged, delivered = self.pairs["sensor_id"].tolist(), self.pairs["delivered_j"].tolist()
+        return tuple(StopRecord(i, tuple(charged[b - n:b]), tuple(delivered[b - n:b]), packets)
+                     for (i, n, packets), b in zip(self.stops.tolist(), ends))
+
+    @property
+    def per_sensor(self) -> tuple:
+        """A SensorRecord per sensor, built from the table on each read."""
+        return tuple(SensorRecord(*row) for row in self.sensors.tolist())
 
 
 class ConfigError(ValueError):
@@ -569,21 +597,25 @@ def simulate_tour(
 
     bounds = np.searchsorted(stop, np.arange(k + 1))
     stop_packets = np.diff(np.concatenate(([0], np.cumsum(pair_packets)))[bounds])
-    columns = (np.arange(k), np.diff(bounds), stop_packets, sensor, banked,
-               np.arange(n), harvested, spent, harvested - spent, packets)
     total_packets = int(packets.sum())
     flight, hover, wpt, rx, total = _energy(config, k, total_packets)
-    ledger = object.__new__(MissionLedger)
-    # per_stop and per_sensor are left out: the first read builds them
-    vars(ledger).update(
+    return MissionLedger(
         total_uav_energy=total,
         flight_energy=flight,
         hover_energy=hover,
         wpt_energy=wpt,
         rx_energy=rx,
+        sensors=_table("sensors", np.arange(n), harvested, spent, harvested - spent, packets),
+        stops=_table("stops", np.arange(k), np.diff(bounds), stop_packets),
+        pairs=_table("pairs", stop, sensor, banked),
         total_packets=total_packets,
         feasible=total <= config.uav_battery,
         mission_time=config.path_perimeter / config.cruise_speed + k * config.dwell_time,
-        _columns=columns,
     )
-    return ledger
+
+
+def _table(name: str, *columns) -> np.ndarray:
+    rows = np.empty(len(columns[0]), _TABLES[name])
+    for field, column in zip(rows.dtype.names, columns):
+        rows[field] = column
+    return rows

@@ -438,6 +438,25 @@ def test_cli_unwritable_out_dir_exit_code(capsys, tmp_path, command):
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, first, second, blocked",
+    [
+        ("simulate", ["--stops", "20"], ["--stops", "80"], "pairs.npy"),
+        ("sweep", ["--stops-range", "4:4"], ["--stops-range", "4:5"], "summary.json"),
+    ],
+    ids=["simulate", "sweep"],
+)
+def test_a_failed_write_leaves_no_manifest(capsys, tmp_path, command, first, second, blocked):
+    assert main([command, *first, "--out", str(tmp_path)]) == 0
+    (tmp_path / blocked).unlink()
+    (tmp_path / blocked).mkdir()
+    capsys.readouterr()
+    # the earlier run's manifest would vouch for this run's artifacts
+    assert main([command, *second, "--out", str(tmp_path)]) == 4
+    assert f"cannot write to {tmp_path}" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_cli_calibrate_power_and_speed(capsys):
     code = main(["calibrate", "--packets", "5", "--stops", "80", "--dwell", "20"])
     assert code == 0

@@ -241,8 +241,8 @@ def test_reruns_are_bit_identical():
     assert first.total_uav_energy == second.total_uav_energy
 
 
-# tours whose ledgers must read, compare, pickle and write alike whether
-# their records were built or not
+# tours whose ledgers must compare, pickle and write alike whether their
+# records were read or not
 TOURS = {
     "reference": lambda: run_mission(REFERENCE),
     "no-stops": lambda: run_mission(dataclasses.replace(REFERENCE, n_stops=0)),
@@ -260,17 +260,26 @@ def _unread_read_rebuilt(build):
 
 
 @pytest.mark.parametrize("build", TOURS.values(), ids=TOURS.keys())
-def test_a_ledger_compares_and_pickles_alike_before_and_after_its_records_are_read(build):
-    unread, read, rebuilt = _unread_read_rebuilt(build)
-    unpickled = pickle.loads(pickle.dumps(unread))
-    for ledger in (unread, unpickled, rebuilt):
-        assert ledger == read
-        assert hash(ledger) == hash(read)
-        assert repr(ledger) == repr(read)
-    for ledger in (unread, read, rebuilt):
-        assert pickle.loads(pickle.dumps(ledger)) == read
-    assert dataclasses.asdict(build()) == dataclasses.asdict(read)
-    assert dataclasses.replace(build(), feasible=not read.feasible).per_sensor == read.per_sensor
+def test_a_ledger_hashes_and_equals_its_unpickled_and_rebuilt_copies(build):
+    ledger = build()
+    copies = (
+        build(),
+        pickle.loads(pickle.dumps(ledger)),
+        MissionLedger(**dataclasses.asdict(ledger)),
+        dataclasses.replace(ledger),
+    )
+    for copy in copies:
+        assert copy == ledger
+        assert hash(copy) == hash(ledger)
+        assert repr(copy) == repr(ledger)
+        assert not any(getattr(copy, name).flags.writeable for name in mission._TABLES)
+    flipped = dataclasses.replace(ledger, feasible=not ledger.feasible)
+    assert flipped != ledger
+    assert flipped.per_sensor == ledger.per_sensor
+    # the tables compare by their bits: a 0.0 made -0.0 differs
+    negated = ledger.sensors.copy()
+    negated["harvested_j"] *= -1.0
+    assert dataclasses.replace(ledger, sensors=negated) != ledger
 
 
 @pytest.mark.parametrize("build", TOURS.values(), ids=TOURS.keys())
@@ -296,10 +305,13 @@ def test_a_tour_builds_no_record_until_one_is_read(monkeypatch, tmp_path):
     ledger = run_mission(REFERENCE)
     write_mission_summary(ledger, tmp_path)
     assert not built
+    # each read builds its own records afresh, and only its own
     ledger.per_stop
-    assert built == {"StopRecord": REFERENCE.n_stops, "SensorRecord": REFERENCE.n_sensors}
+    assert built == {"StopRecord": REFERENCE.n_stops}
+    ledger.per_stop
+    assert built == {"StopRecord": 2 * REFERENCE.n_stops}
     ledger.per_sensor
-    assert sum(built.values()) == REFERENCE.n_stops + REFERENCE.n_sensors
+    assert built == {"StopRecord": 2 * REFERENCE.n_stops, "SensorRecord": REFERENCE.n_sensors}
 
 
 def test_longer_dwell_never_loses_packets():

@@ -22,8 +22,6 @@ from wpcnsim.config_io import write_mission_summary
 from wpcnsim.mission import (
     MissionLedger,
     ScenarioConfig,
-    SensorRecord,
-    StopRecord,
     _flight_path,
     run_mission,
     simulate_tour,
@@ -181,8 +179,9 @@ _LEDGER = dict(
     hover_energy=0.0,
     wpt_energy=0.0,
     rx_energy=0.0,
-    per_stop=(),
-    per_sensor=(),
+    sensors=[],
+    stops=[],
+    pairs=[],
     total_packets=0,
     feasible=True,
     mission_time=80.0,
@@ -203,16 +202,30 @@ SUMMARY_EDGES = {
     "non-finite-records": lambda: MissionLedger(
         **dict(
             _LEDGER,
-            per_stop=(StopRecord(0, (), (), 0), StopRecord(1, (0,), (math.inf,), 0)),
-            per_sensor=(SensorRecord(0, math.inf, -math.inf, math.nan, 0),),
+            sensors=[(0, math.inf, -math.inf, math.nan, 0)],
+            stops=[(0, 0, 0), (1, 1, 0)],
+            pairs=[(1, 0, math.inf)],
         )
     ),
     "negative-zero-sensor": lambda: MissionLedger(
-        **dict(_LEDGER, per_sensor=(SensorRecord(0, -0.0, 0.0, -0.0, 0),))
+        **dict(_LEDGER, sensors=[(0, -0.0, 0.0, -0.0, 0)])
     ),
     # pairs.npy keeps each float's bits, a NaN's and a -0.0's among them
     "nan-and-negative-zero-pairs": lambda: MissionLedger(
-        **dict(_LEDGER, per_stop=(StopRecord(3, (1, 0), (math.nan, -0.0), 0),))
+        **dict(_LEDGER, stops=[(3, 2, 0)], pairs=[(3, 1, math.nan), (3, 0, -0.0)])
+    ),
+    # numpy scalars are taken as Python's: summary.json is the same bytes
+    "numpy-scalars": lambda: MissionLedger(
+        **dict(
+            _LEDGER,
+            total_packets=np.int64(0),
+            feasible=np.float64(2.5) <= 3.0,
+            **{
+                key: np.float64(_LEDGER[key])
+                for key in ("total_uav_energy", "flight_energy", "hover_energy",
+                            "wpt_energy", "rx_energy", "mission_time")
+            },
+        )
     ),
 }
 

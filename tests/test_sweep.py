@@ -36,8 +36,9 @@ def _bare_ledger(packets, energy):
         hover_energy=0.0,
         wpt_energy=0.0,
         rx_energy=0.0,
-        per_stop=(),
-        per_sensor=(),
+        sensors=[],
+        stops=[],
+        pairs=[],
         total_packets=packets,
         feasible=True,
         mission_time=0.0,
