@@ -19,7 +19,7 @@ _TWO_PI = 2.0 * math.pi
 
 # Cumulative arc length is tabulated once per ellipse on a fixed panel
 # grid: 2048 panels of 16-point Gauss-Legendre hold machine precision for
-# any valid aspect ratio, so arc inversions never re-integrate from zero.
+# any valid aspect ratio, so arc inversion integrates only partial panels.
 _PANELS = 2048
 # np.polynomial.legendre.leggauss(16), whose nodes and weights are exactly
 # mirrored about 0: the positive half, written out so that no call needs
@@ -34,6 +34,12 @@ _GL_HALF_WEIGHTS = (
 )
 _GL_NODES = np.concatenate((-np.array(_GL_HALF_NODES[::-1]), _GL_HALF_NODES))
 _GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
+# leggauss(5), written out likewise: the rule of arc inversion's Newton steps,
+# whose partial panels are at most one panel wide (see _params_at_arcs)
+_GL5_NODES = np.array((-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831,
+                       0.906179845938664))
+_GL5_WEIGHTS = np.array((0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                         0.4786286704993663, 0.23692688505618928))
 # The node grid is the same for every ellipse, so only its sin and cos and
 # the panel half-width are kept, and every table is built from them.
 _edges = np.linspace(0.0, _TWO_PI, _PANELS + 1)
@@ -91,8 +97,10 @@ def _arc_table(a: float, b: float) -> np.ndarray:
     return cum
 
 
-def _arc_from_zero(ellipse: EllipseSpec, t: np.ndarray) -> np.ndarray:
-    """Arc length from parameter 0 to t, for t in [0, 2*pi], array-friendly."""
+def _arc_from_zero(
+    ellipse: EllipseSpec, t: np.ndarray, nodes=_GL_NODES, weights=_GL_WEIGHTS
+) -> np.ndarray:
+    """Arc length from 0 to t in [0, 2*pi]: the knot below t plus the partial panel on a rule."""
     a, b = ellipse.semi_major, ellipse.semi_minor
     cum = ellipse.arc_table
     t = np.clip(np.asarray(t, dtype=float), 0.0, _TWO_PI)
@@ -101,8 +109,8 @@ def _arc_from_zero(ellipse: EllipseSpec, t: np.ndarray) -> np.ndarray:
     lo = idx * h
     half = 0.5 * (t - lo)
     mid = 0.5 * (t + lo)
-    nodes = mid[..., None] + half[..., None] * _GL_NODES
-    partial = half * (_speed(a, b, nodes) * _GL_WEIGHTS).sum(axis=-1)
+    points = mid[..., None] + half[..., None] * nodes
+    partial = half * (_speed(a, b, points) * weights).sum(axis=-1)
     return cum[idx] + partial
 
 
@@ -164,6 +172,8 @@ def _params_at_arcs(ellipse: EllipseSpec, arcs: np.ndarray) -> np.ndarray:
     inside the panel is within about 1e-4 rad for aspect ratios up to
     100, and Newton steps on _arc_from_zero(t) = s, whose derivative is
     _speed(t), square that error each time: three reach float spacing.
+    The steps integrate their partial panel, at most 2*pi/2048 rad wide, with
+    5 points, not the table's 16; that moves no parameter by over 2 spacings.
     """
     a, b = ellipse.semi_major, ellipse.semi_minor
     cum = ellipse.arc_table
@@ -171,7 +181,7 @@ def _params_at_arcs(ellipse: EllipseSpec, arcs: np.ndarray) -> np.ndarray:
     idx = np.clip(np.searchsorted(cum, arcs, side="right") - 1, 0, _PANELS - 1)
     t = (idx + (arcs - cum[idx]) / (cum[idx + 1] - cum[idx])) * (_TWO_PI / _PANELS)
     for _ in range(3):
-        t = t - (_arc_from_zero(ellipse, t) - arcs) / _speed(a, b, t)
+        t = t - (_arc_from_zero(ellipse, t, _GL5_NODES, _GL5_WEIGHTS) - arcs) / _speed(a, b, t)
     return t
 
 

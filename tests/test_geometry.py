@@ -292,3 +292,50 @@ def test_equidistant_arcs_rejects_bad_arguments():
     with pytest.raises(ValueError):
         equidistant_arcs(PATH, 4, PATH.perimeter)
 
+
+def test_gauss_legendre_literals_are_leggauss_5():
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    # bit for bit: the same dtype and bytes, the sign of the middle node's 0 included
+    for literal, want in ((geometry._GL5_NODES, nodes), (geometry._GL5_WEIGHTS, weights)):
+        assert literal.dtype == want.dtype and literal.tobytes() == want.tobytes()
+
+
+def newton_params_16(ellipse, arcs):
+    """Oracle: the package's seed and three Newton steps, every partial panel
+    integrated with the arc table's own 16-point rule."""
+    a, b, cum = ellipse.semi_major, ellipse.semi_minor, ellipse.arc_table
+    idx = np.clip(np.searchsorted(cum, arcs, side="right") - 1, 0, _PANELS - 1)
+    t = (idx + (arcs - cum[idx]) / (cum[idx + 1] - cum[idx])) * (2.0 * math.pi / _PANELS)
+    for _ in range(3):
+        t = t - (_arc_from_zero(ellipse, t) - arcs) / _speed(a, b, t)
+    return t
+
+
+@pytest.mark.parametrize("aspect_ratio", [1.0, 1.0 + 1e-7, 5.0, 20.0, 100.0])
+def test_five_point_newton_steps_match_the_sixteen_point_rule(aspect_ratio):
+    # the partial panel is at most 2*pi/2048 rad wide: integrating it on 5
+    # points moves an inverted parameter by at most 2 float spacings of 2*pi
+    ellipse = ellipse_from_perimeter(aspect_ratio, 500.0)
+    rng = np.random.default_rng(31)
+    arcs = np.concatenate(
+        [ellipse.arc_table[:-1], rng.uniform(0.0, ellipse.perimeter, size=200_000)]
+    )
+    worst = 0.0
+    for part in np.array_split(arcs, 50):  # blocks of about 4k arcs keep the temporaries small
+        moved = np.abs(_params_at_arcs(ellipse, part) - newton_params_16(ellipse, part))
+        worst = max(worst, float(np.max(moved)))
+    assert worst <= 2.0 * np.spacing(2.0 * math.pi), worst / np.spacing(2.0 * math.pi)
+
+
+def test_inversion_evaluates_the_path_speed_at_most_18_times_per_arc(monkeypatch):
+    # three Newton steps, each 5 quadrature points plus the derivative
+    points = []
+
+    def counted(a, b, t):
+        points.append(np.size(t))
+        return _speed(a, b, t)
+
+    monkeypatch.setattr(geometry, "_speed", counted)
+    arcs = np.random.default_rng(37).uniform(0.0, PATH.perimeter, size=1000)
+    _params_at_arcs(PATH, arcs)
+    assert sum(points) <= 18 * arcs.size, sum(points) / arcs.size
