@@ -347,17 +347,17 @@ def _standoff_rate(config: ScenarioConfig) -> float:
     return float(harvest_rate(config.link, power)[0])
 
 
-def _packet_bound(config: ScenarioConfig, best: float) -> list:
-    """The violation of a mission that could count past 2**53 packets, where
-    float arithmetic loses whole packets, or whose efficiency could leave
-    float range, if any. best is _standoff_rate(config); no mission spends
-    less than a zero-stop one that receives its packets, and the factor 2
-    covers the CSV's efficiency from nine-digit energies.
+def _packet_bound(config: ScenarioConfig, n_stops: int, best: float) -> list:
+    """The violation of an n_stops-stop mission that could count past 2**53
+    packets, where float arithmetic loses whole packets, or whose efficiency
+    could leave float range, if any. best is _standoff_rate(config); no
+    mission spends less than a zero-stop one that receives its packets, and
+    the factor 2 covers the CSV's efficiency from nine-digit energies.
     """
     unit = config.costs.packet_unit
-    charge = config.n_sensors * config.n_stops * config.dwell_time * config.phase_split
+    charge = config.n_sensors * n_stops * config.dwell_time * config.phase_split
     # no stop, nor a zero rate, charges anyone; inf times an underflowed charge is NaN
-    bound = best * charge / unit if best and config.n_stops else 0.0
+    bound = best * charge / unit if best and n_stops else 0.0
     if not bound < 2.0**53:
         return [
             f"a mission could count up to {bound:.3g} packets of e_measurement + "
@@ -378,16 +378,23 @@ def _case(base: ScenarioConfig, stop_counts, dwells):
 
     cells maps each (n_stops, dwell), in axis order, to its violations:
     its value rules; else the case's stages and its plan's violation,
-    judged from the plan's arcs alone; else its packet bound. plans holds
-    one (arcs, [(key, config)...]) per stop count that keeps a valid cell.
+    judged from the plan's arcs alone; else its packet bound. The value
+    rules read a count >= 0 and a dwell in (0, inf) only to pass them, so
+    those cells share one check; any other cell is checked on its own.
+    plans holds one (arcs, [(key, config)...]) per stop count that keeps a
+    valid cell, config being its dwell's, whose n_stops is not the cell's.
     """
+    # the largest count is in range if any is, and at one cell it is the cell's own
+    top = max(stop_counts)
+    configs = {t: replace(base, n_stops=top, dwell_time=t) for t in dwells if 0.0 < t < math.inf}
+    shared = tuple(_value_errors(next(iter(configs.values())))) if configs and top >= 0 else ()
     cells, by_stops = {}, {}
-    for n_stops in stop_counts:
-        for dwell in dwells:
-            config = replace(base, n_stops=n_stops, dwell_time=dwell)
-            cells[n_stops, dwell] = _value_errors(config)
-            if not cells[n_stops, dwell]:
-                by_stops.setdefault(n_stops, []).append(((n_stops, dwell), config))
+    for n in stop_counts:
+        for t in dwells:
+            alike = n >= 0 and t in configs
+            cells[n, t] = shared if alike else _value_errors(replace(base, n_stops=n, dwell_time=t))
+            if not cells[n, t]:
+                by_stops.setdefault(n, []).append(((n, t), configs[t]))
     errors, path, field, rule = _stages(base) if by_stops else ([], None, None, None)
     # every cell has the base's link and standoff, which pass once the stages do
     best = _standoff_rate(base) if by_stops and not errors else None
@@ -398,7 +405,7 @@ def _case(base: ScenarioConfig, stop_counts, dwells):
         violation = _stop_arcs_error(arcs)
         failed = errors + [f"n_stops: {violation}"] if violation else errors
         for key, config in group:
-            cells[key] = failed or _packet_bound(config, best)
+            cells[key] = failed or _packet_bound(config, n_stops, best)
         group = [(key, config) for key, config in group if not cells[key]]
         if group:
             plans.append((arcs, group))
@@ -415,7 +422,7 @@ def validate_config(config: ScenarioConfig) -> list:
     packets a mission could count must stay exact in floats.
     """
     (errors,) = _case(config, [config.n_stops], [config.dwell_time])[0].values()
-    return errors
+    return list(errors)
 
 
 def endurance(config: ScenarioConfig) -> float:

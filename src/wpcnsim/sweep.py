@@ -3,11 +3,12 @@ plus the derived metrics: efficiency, gain ratios, peak detection,
 and the two calibration solvers.
 
 A sweep runs case by case. Each case takes its cells' checks and stop
-plans from the pass that run_mission runs at one cell (mission._case),
-then inverts and pairs its plans in batches and settles all its valid
-cells at once. Cells are pure functions of (base config, cell
-coordinates), so cases can be spread over worker processes without
-changing a single output bit.
+plans from the pass that run_mission runs at one cell (mission._case):
+the value rules once per case and once per cell whose count or dwell is
+out of range, and one config per dwell. It then inverts and pairs its
+plans in batches and settles all its valid cells at once. Cells are pure
+functions of (base config, cell coordinates), so cases can be spread
+over worker processes without changing a single output bit.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def _sweep_case(case, base: ScenarioConfig, stop_counts: tuple, dwells: tuple) -
         totals = np.zeros(len(valid), dtype=np.int64)
         np.add.at(totals, ids // n, packets)
         for (key, config), total_packets in zip(valid, totals.tolist()):
-            energy = _energy(config, config.n_stops, total_packets)[-1]
+            # the key's stop count: a dwell's config is shared by its cells
+            energy = _energy(config, key[0], total_packets)[-1]
             cells[key] = SweepCell(
                 total_packets=total_packets,
                 total_uav_energy=energy,

@@ -2,16 +2,22 @@
 
 import dataclasses
 import importlib
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpcnsim import mission
 from wpcnsim.mission import ConfigError, MissionLedger, ScenarioConfig, max_stops, run_mission
 from wpcnsim.rf_link import EnergyCosts
 from wpcnsim.sweep import (
     DEFAULT_CASES,
+    DEFAULT_DWELLS,
+    DEFAULT_STOP_COUNTS,
     SweepCell,
     calibrate_speed,
     calibrate_tx_power,
@@ -394,3 +400,120 @@ def test_calibrate_speed_rejects_impossible_targets():
         calibrate_speed(0, 20.0, DEFAULTS)
     with pytest.raises(ValueError):
         calibrate_speed(10, 0.0, DEFAULTS)
+
+
+# a link key that LinkParams takes as NaN, so only the value rules refuse it
+_NAN_LINK_KEYS = ("tx_power", "tx_gain_dbi", "rx_gain_dbi", "harvest_threshold", "angle_exponent")
+
+
+def _broken(base, rules, link_key="tx_gain_dbi"):
+    """base breaking each named rule on a single value."""
+    changes = {
+        "battery": {"uav_battery": -1.0},
+        "layout": {"layout": "s9"},
+        "phase_split": {"phase_split": 1.0},
+        "link": {"link": dataclasses.replace(base.link, **{link_key: math.nan})},
+    }
+    return dataclasses.replace(base, **{k: v for rule in rules for k, v in changes[rule].items()})
+
+
+@st.composite
+def _bases(draw):
+    """The defaults in any case and WPT mode, valid or breaking one or two value rules."""
+    base = dataclasses.replace(
+        DEFAULTS,
+        placement=draw(st.sampled_from(["p1", "p2"])),
+        layout=draw(st.sampled_from(["s1", "s2"])),
+        wpt_draw_mode=draw(st.sampled_from(["included", "additional"])),
+    )
+    rules = draw(st.sets(st.sampled_from(["battery", "layout", "phase_split", "link"]), max_size=2))
+    return _broken(base, rules, draw(st.sampled_from(_NAN_LINK_KEYS)))
+
+
+_IN_RANGE_CELLS = st.tuples(
+    st.integers(0, 10**9),
+    st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_bases(), st.lists(_IN_RANGE_CELLS, min_size=2, max_size=4))
+def test_value_rules_give_every_in_range_cell_the_same_violations(base, cells):
+    """mission._case checks a case's cells with a count >= 0 and a dwell in
+    (0, inf) once, which holds only while no value rule reads either beyond
+    its own range. ROADMAP item 1's planned rule on the billed WPT at the
+    largest dwell reads the dwell, so landing it means re-keying that
+    shared check, by dwell at least.
+    """
+    (first, *others) = [
+        mission._value_errors(dataclasses.replace(base, n_stops=n, dwell_time=t)) for n, t in cells
+    ]
+    assert all(errors == first for errors in others)
+
+
+def test_sweep_cells_keep_run_mission_messages_over_failing_bases():
+    # a case sets the layout, so the bad layout token comes in as a case
+    breaks = ["battery", "phase_split", "link"]
+    rule_sets = [()] + [rules for k in (1, 2) for rules in itertools.combinations(breaks, k)]
+    cases = DEFAULT_CASES + (("p1", "s9"),)
+    dwells = [math.nan, math.inf, -1.0, 0.0, 20.0]
+    valid = 0
+    for rules in rule_sets:
+        base = _broken(DEFAULTS, rules)
+        table = sweep(base, [-3, 0, 4], dwells, cases)
+        assert len(table.cells) == len(cases) * 3 * len(dwells)
+        for (placement, layout, n_stops, dwell), cell in table.cells.items():
+            config = dataclasses.replace(
+                base, placement=placement, layout=layout, n_stops=n_stops, dwell_time=dwell
+            )
+            try:
+                ledger = run_mission(config)
+            except ConfigError as err:
+                assert cell == SweepCell(0, 0.0, 0.0, False, error=str(err))
+                continue
+            assert cell == SweepCell(
+                ledger.total_packets, ledger.total_uav_energy, efficiency(ledger), ledger.feasible
+            )
+            valid += 1
+    # the valid base flies 0 and 4 stops at 20 s in each good case
+    assert valid == 2 * len(DEFAULT_CASES)
+
+
+@pytest.mark.parametrize(
+    "grid, checks",
+    [
+        ((DEFAULT_STOP_COUNTS, DEFAULT_DWELLS, DEFAULT_CASES), len(DEFAULT_CASES)),
+        # four cells out of range, each on its own; the two others share one check
+        (([-1, 4, 5], [math.nan, 20.0], [("p1", "s1")]), 5),
+    ],
+)
+def test_value_rules_run_once_per_case_and_once_per_out_of_range_cell(grid, checks, monkeypatch):
+    rules, checked = mission._value_errors, []
+
+    def counted(config):
+        checked.append(config)
+        return rules(config)
+
+    monkeypatch.setattr(mission, "_value_errors", counted)
+    sweep(DEFAULTS, *grid)
+    assert len(checked) == checks
+
+
+@pytest.mark.parametrize("changes", [{}, {"n_stops": -1, "dwell_time": math.nan}])
+def test_one_cell_builds_one_config(changes, monkeypatch):
+    config = dataclasses.replace(DEFAULTS, **changes)
+    rebuild, built = mission.replace, []
+
+    def counted(obj, **values):
+        built.append(values)
+        return rebuild(obj, **values)
+
+    monkeypatch.setattr(mission, "replace", counted)
+    errors = mission.validate_config(config)
+    assert len(built) == 1
+    if errors:
+        with pytest.raises(ConfigError):
+            run_mission(config)
+    else:
+        run_mission(config)
+    assert len(built) == 2
