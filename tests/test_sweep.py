@@ -140,6 +140,32 @@ def _random_grid(rng):
     return base, stop_counts, dwells
 
 
+def _assert_cells_match_run_mission(base, stop_counts, dwells, cases):
+    """Sweep the grid and check each cell against run_mission on its own config.
+
+    A cell must equal the ConfigError run_mission raises, or its ledger.
+    Returns the errors and the ledgers, one per cell.
+    """
+    table = sweep(base, stop_counts, dwells, cases)
+    assert len(table.cells) == len(cases) * len(stop_counts) * len(dwells)
+    errors, ledgers = [], []
+    for (placement, layout, n_stops, dwell), cell in table.cells.items():
+        config = dataclasses.replace(
+            base, placement=placement, layout=layout, n_stops=n_stops, dwell_time=dwell
+        )
+        try:
+            ledger = run_mission(config)
+        except ConfigError as err:
+            assert cell == SweepCell(0, 0.0, 0.0, False, error=str(err))
+            errors.append(err)
+            continue
+        assert cell == SweepCell(
+            ledger.total_packets, ledger.total_uav_energy, efficiency(ledger), ledger.feasible
+        )
+        ledgers.append(ledger)
+    return errors, ledgers
+
+
 def _assert_sweeps_match_run_mission_cell_for_cell():
     rng = np.random.default_rng(20261018)
     grids = [_random_grid(rng) for _ in range(10)]
@@ -148,21 +174,10 @@ def _assert_sweeps_match_run_mission_cell_for_cell():
     grids.append((tiny_packets, [4, 50, 100], [20.0, 70.0]))
     most_visits, errors, valid = 0, Counter(), 0
     for base, stop_counts, dwells in grids:
-        table = sweep(base, stop_counts, dwells, DEFAULT_CASES)
-        for (placement, layout, n_stops, dwell), cell in table.cells.items():
-            config = dataclasses.replace(
-                base, placement=placement, layout=layout, n_stops=n_stops, dwell_time=dwell
-            )
-            try:
-                ledger = run_mission(config)
-            except ConfigError as err:
-                assert cell == SweepCell(0, 0.0, 0.0, False, error=str(err))
-                errors[err.errors[0].split(" ")[0]] += 1
-                continue
-            assert cell == SweepCell(
-                ledger.total_packets, ledger.total_uav_energy, efficiency(ledger), ledger.feasible
-            )
-            valid += 1
+        failed, ledgers = _assert_cells_match_run_mission(base, stop_counts, dwells, DEFAULT_CASES)
+        errors.update(err.errors[0].split(" ")[0] for err in failed)
+        valid += len(ledgers)
+        for ledger in ledgers:
             visits = Counter(i for stop in ledger.per_stop for i in stop.charged)
             most_visits = max(most_visits, *visits.values(), 0)
     # value, parity, geometry and packet-bound errors all occur
@@ -460,21 +475,8 @@ def test_sweep_cells_keep_run_mission_messages_over_failing_bases():
     valid = 0
     for rules in rule_sets:
         base = _broken(DEFAULTS, rules)
-        table = sweep(base, [-3, 0, 4], dwells, cases)
-        assert len(table.cells) == len(cases) * 3 * len(dwells)
-        for (placement, layout, n_stops, dwell), cell in table.cells.items():
-            config = dataclasses.replace(
-                base, placement=placement, layout=layout, n_stops=n_stops, dwell_time=dwell
-            )
-            try:
-                ledger = run_mission(config)
-            except ConfigError as err:
-                assert cell == SweepCell(0, 0.0, 0.0, False, error=str(err))
-                continue
-            assert cell == SweepCell(
-                ledger.total_packets, ledger.total_uav_energy, efficiency(ledger), ledger.feasible
-            )
-            valid += 1
+        _, ledgers = _assert_cells_match_run_mission(base, [-3, 0, 4], dwells, cases)
+        valid += len(ledgers)
     # the valid base flies 0 and 4 stops at 20 s in each good case
     assert valid == 2 * len(DEFAULT_CASES)
 
