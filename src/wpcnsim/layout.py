@@ -165,7 +165,9 @@ def _target_arcs(field: SensorField, perimeter: float) -> np.ndarray:
     theta = field.arc_coords * (_TWO_PI / perimeter)
     s = np.bincount(field.cluster_ids, weights=np.sin(theta), minlength=m)
     c = np.bincount(field.cluster_ids, weights=np.cos(theta), minlength=m)
-    arcs = (np.arctan2(s, c) % _TWO_PI) * (perimeter / _TWO_PI)
+    # libm's atan2, not numpy's, whose loop and bits vary with the CPU
+    angles = np.array([math.atan2(y, x) for y, x in zip(s.tolist(), c.tolist())])
+    arcs = (angles % _TWO_PI) * (perimeter / _TWO_PI)
     # a group straddling the seam averages to arc 0, not to the perimeter
     arcs = np.where(arcs > perimeter - _SEAM_SNAP, 0.0, arcs)
     return np.sort(arcs)

@@ -36,10 +36,10 @@ from wpcnsim.layout import (
 from wpcnsim.rf_link import (
     EnergyCosts,
     LinkParams,
+    _budget,
     harvest_rate,
     max_boresight_harvest_range,
     packets_supported,
-    received_power,
     wavelength,
 )
 
@@ -339,12 +339,10 @@ def _value_errors(config: ScenarioConfig) -> list:
 def _standoff_rate(config: ScenarioConfig) -> float:
     """Boresight harvest rate at the standoff, which no visit can beat.
 
-    No sensor is nearer a stop than standoff; a rate beyond float range,
-    or a free-space loss that underflows to log10(0), is inf.
+    No sensor is nearer a stop than standoff; a rate beyond float range
+    is inf. The standoff divides twice, as its square can underflow to 0.
     """
-    with np.errstate(over="ignore", divide="ignore"):
-        power = received_power(config.link, [config.standoff], [0.0])
-    return float(harvest_rate(config.link, power)[0])
+    return harvest_rate(config.link, _budget(config.link, config.standoff, 1.0) / config.standoff)
 
 
 def _packet_bound(config: ScenarioConfig, n_stops: int, best: float) -> list:
@@ -477,8 +475,8 @@ def _charging_pairs(link: LinkParams, field: SensorField, stops: np.ndarray):
     xs, ys, nxs, nys = np.hstack((field.positions, field.normals))[order].T.copy()
     stop_xs, stop_ys = stops.T.copy()
     span = max(np.abs(field.positions).max(initial=0.0), np.abs(stops).max(initial=0.0))
-    # the threshold test runs on a budget rounded by a few ulps of its dB
-    # terms, which moves the distance where it passes by far less than the
+    # the threshold test runs on the budget the reach solves, a few roundings
+    # apart, which moves the distance where it passes by far less than the
     # 1e-6 relative slack; the window ends and the deltas round by at most
     # an ulp of the largest coordinate, which 4 spacings cover
     reach = float(max_boresight_harvest_range(link) * (1.0 + 1e-6) + 4.0 * np.spacing(span))
@@ -515,9 +513,9 @@ def _charging_pairs(link: LinkParams, field: SensorField, stops: np.ndarray):
             raise ValueError("distance must be positive: a stop sits on a sensor")
         # a pair that faces away, at an incidence of pi/2 or more, receives 0 W
         keep = np.flatnonzero((dist_sq <= reach_sq) & (dot > 0.0))
-        dist = np.sqrt(dist_sq[keep])
-        incidence = np.arccos(np.clip(dot[keep] / dist, -1.0, 1.0))
-        rate = harvest_rate(link, received_power(link, dist, incidence))
+        dist_sq = dist_sq[keep]
+        cos_inc = np.minimum(dot[keep] / np.sqrt(dist_sq), 1.0)
+        rate = harvest_rate(link, _budget(link, dist_sq, cos_inc))
         charging = rate > 0.0
         keep, rate = keep[charging], rate[charging]
         stop, sensor = stop[keep], order[at[keep]]

@@ -1,8 +1,11 @@
 """Free-space RF power transfer budget and packet energy arithmetic.
 
 Power quantities are watts, energies joules, gains dBi, angles radians.
-The receive side applies a cosine^n aperture pattern about the sensor's
-outward normal; the transmit side is folded into its dBi gain.
+Every caller runs one budget, _budget, in linear form: a constant per link,
+in Python floats, times a cosine^n receive pattern about the sensor's
+outward normal over the squared distance; the transmit side is folded into
+its dBi gain. Per pair it runs correctly rounded operations alone (for n in
+0, 0.5, 1, 2), so its bits do not depend on the CPU.
 """
 
 from __future__ import annotations
@@ -96,6 +99,18 @@ def fspl_db(frequency: float, distance):
     return float(loss) if loss.ndim == 0 else loss
 
 
+def _budget(params: LinkParams, dist_sq, cos_inc):
+    """Received power in watts, tx_power * 10^((G_tx + G_rx)/10) * (lambda/4pi)^2
+    * cos_inc^n / dist_sq; its constant, in Python floats, squares the amplitude
+    gain, so it leaves float range only where the path gain at 1 m does."""
+    try:
+        amplitude = 10.0 ** ((params.tx_gain_dbi + params.rx_gain_dbi) / 20.0)
+    except OverflowError:  # inf, as numpy gives: 0 W times it is nan, which a config rule rejects
+        amplitude = math.inf
+    amplitude *= wavelength(params.frequency) / _FOUR_PI
+    return params.tx_power * (amplitude * amplitude) * cos_inc**params.angle_exponent / dist_sq
+
+
 def received_power(params: LinkParams, distance, incidence):
     """RF power at the sensor's rectifier input, in watts.
 
@@ -105,17 +120,16 @@ def received_power(params: LinkParams, distance, incidence):
         incidence: angle from the sensor's outward normal, in [0, pi].
 
     Incidence at or beyond pi/2 receives exactly zero; otherwise the
-    budget is tx_power * 10^((gains - fspl)/10) * cos(incidence)^n.
+    budget is _budget at distance^2 and cos(incidence).
     """
     d = np.asarray(distance, dtype=float)
     inc = np.asarray(incidence, dtype=float)
     if np.any((inc < 0.0) | (inc > math.pi)):
         raise ValueError("incidence must lie in [0, pi]")
-    gain_db = params.tx_gain_dbi + params.rx_gain_dbi - fspl_db(params.frequency, d)
+    if np.any(d <= 0.0):
+        raise ValueError("distance must be positive")
     # cut on the angle, not on cos: cos(pi/2) rounds to 6.1e-17, not zero
-    base = np.maximum(np.cos(inc), 0.0)
-    angle = np.where(inc < math.pi / 2.0, base**params.angle_exponent, 0.0)
-    power = params.tx_power * 10.0 ** (gain_db / 10.0) * angle
+    power = np.where(inc < math.pi / 2.0, _budget(params, d * d, np.cos(inc).clip(0.0)), 0.0)
     return float(power) if power.ndim == 0 else power
 
 
@@ -154,13 +168,10 @@ def max_boresight_harvest_range(params: LinkParams) -> float:
     No sensor farther than this from a stop can charge there, so
     simulate_tour evaluates only the stop-sensor pairs within it.
     """
-    with np.errstate(over="ignore"):
-        gain = float(np.power(10.0, (params.tx_gain_dbi + params.rx_gain_dbi) / 10.0))
-    numerator = params.tx_power * gain
+    boresight = _budget(params, 1.0, 1.0)
     # a gain beyond float range is inf, and then no power is 0 * inf = nan
-    if not numerator > 0.0:
+    if not boresight > 0.0:
         return 0.0
     if params.harvest_threshold == 0.0:
         return math.inf
-    lam = wavelength(params.frequency)
-    return lam / _FOUR_PI * math.sqrt(numerator / params.harvest_threshold)
+    return math.sqrt(boresight / params.harvest_threshold)

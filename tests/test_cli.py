@@ -322,14 +322,13 @@ def _simulate_digests(out, names):
     return [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names]
 
 
-# what numpy's run-time CPU dispatch cannot move: scalars, counts, the manifest
-DISPATCH_FREE = ("summary.json", "stops.npy", "manifest.json")
+SIMULATE_ARTIFACTS = ("summary.json", "stops.npy", "manifest.json", "pairs.npy", "sensors.npy")
 
 
 def test_cli_simulate_artifacts_match_golden_digests(capsys, tmp_path):
     assert main(["simulate", "--stops", "80", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert _simulate_digests(tmp_path, DISPATCH_FREE) == [
+    assert _simulate_digests(tmp_path, SIMULATE_ARTIFACTS[:3]) == [
         "08f40724040414d0708a6396e2be77824a96cfd6aa635a8138f3166efd34ef27",
         "ca681fa753066bd7376de0284d9ab1caff01265907b04543b7b6ce4ad15287a2",
         "c069e9aff8cc2f1fc46c0104a695fd8e1688cea660bcf5aba29b871efb8dfab0",
@@ -337,19 +336,21 @@ def test_cli_simulate_artifacts_match_golden_digests(capsys, tmp_path):
 
 
 def test_cli_simulate_float_tables_match_golden_digests(capsys, tmp_path):
-    """The delivered and harvested energies, whose bits numpy's float64
-    arccos, log10 and power loops set: these digests hold only on hosts
-    that dispatch them to AVX-512, until the link budget uses correctly
-    rounded operations alone (ROADMAP item 5)."""
+    """The delivered and harvested energies: the linear link budget gives
+    them the same bits on every CPU, so these digests hold with or without
+    AVX-512 (see the dispatch test below)."""
     assert main(["simulate", "--stops", "80", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert _simulate_digests(tmp_path, ("pairs.npy", "sensors.npy")) == [
-        "74ca5e52096e4723e894578966bef128acca5b91cd27ab1a61ba4cb51aa7cf5a",
-        "0ebf557a843b9ef516e449f72408ec49231c8d5626ab1ac6e6dd3a1537405c69",
+    assert _simulate_digests(tmp_path, SIMULATE_ARTIFACTS[3:]) == [
+        "71b7c2567f65798025ac6cbf6320a0086c45d6fcb617a02de897e6378ec9512d",
+        "0e2c4a52611259c04ae3649ee0628b9c4cafeafd231d01769b7028277b7df0a8",
     ]
 
 
 def test_cli_simulate_dispatch_free_artifacts_hold_without_avx512(tmp_path):
+    """Every artifact of the default mission, of two other cases and of a
+    cos^2 antenna is byte-identical whichever loops numpy dispatches to:
+    the link budget runs correctly rounded operations alone."""
     umath = (getattr(np, "_core", None) or np.core)._multiarray_umath  # numpy 2, else 1.x
     avx512 = [
         f for f in umath.__cpu_dispatch__
@@ -360,15 +361,25 @@ def test_cli_simulate_dispatch_free_artifacts_hold_without_avx512(tmp_path):
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    digests = []
-    for leg, disabled in (("full", ""), ("no-avx512", " ".join(avx512))):
-        env["NPY_DISABLE_CPU_FEATURES"] = disabled
-        out = tmp_path / leg
-        args = [sys.executable, "-m", "wpcnsim", "simulate", "--stops", "80", "--out", str(out)]
-        result = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
-        digests.append(_simulate_digests(out, DISPATCH_FREE))
-    assert digests[0] == digests[1]
+    config = tmp_path / "cos2.cfg"
+    config.write_text("angle_exponent = 2.0\n", encoding="utf-8")
+    runs = {
+        "p1s1": [],
+        "p1s2": ["--case", "p1s2"],
+        "p2s2": ["--case", "p2s2"],
+        "cos2": ["--config", str(config)],
+    }
+    for name, extra in runs.items():
+        digests = []
+        for leg, disabled in (("full", ""), ("no-avx512", " ".join(avx512))):
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            out = tmp_path / name / leg
+            args = [sys.executable, "-m", "wpcnsim", "simulate", "--stops", "80", *extra]
+            args += ["--out", str(out)]
+            result = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+            digests.append(_simulate_digests(out, SIMULATE_ARTIFACTS))
+        assert digests[0] == digests[1], name
 
 
 def test_cli_simulate_runs_byte_identical(capsys, tmp_path):

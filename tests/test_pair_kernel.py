@@ -10,7 +10,7 @@ from test_reference import SMALL, WINDOWS
 from wpcnsim import mission
 from wpcnsim.layout import SensorField
 from wpcnsim.mission import ScenarioConfig
-from wpcnsim.rf_link import harvest_rate, max_boresight_harvest_range, received_power
+from wpcnsim.rf_link import _budget, harvest_rate, max_boresight_harvest_range
 
 
 def _dense(field, stops, chunk=100):
@@ -31,9 +31,11 @@ def dense_pairs(link, field, stops):
     each pair's budget run as the kernel runs it, by stop then sensor id."""
     blocks = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
     for stop, sensor, dist_sq, dot in _dense(field, stops):
-        dist = np.sqrt(dist_sq)
-        incidence = np.arccos(np.clip(dot / dist, -1.0, 1.0))
-        rate = harvest_rate(link, received_power(link, dist, incidence))
+        # a pair that faces away receives 0 W
+        facing = dot > 0.0
+        stop, sensor, dist_sq, dot = stop[facing], sensor[facing], dist_sq[facing], dot[facing]
+        cos_inc = np.minimum(dot / np.sqrt(dist_sq), 1.0)
+        rate = harvest_rate(link, _budget(link, dist_sq, cos_inc))
         charging = rate > 0.0
         blocks.append((stop[charging], sensor[charging], rate[charging]))
     return tuple(np.concatenate(column) for column in zip(*blocks))
@@ -54,7 +56,7 @@ def _boundary():
     stops above the axis at each float distance within 8 ulps of the
     unslacked reach, under a threshold where some of those beyond it charge."""
     field = _field([[0.0, -0.5]], [[0.0, 1.0]])
-    for threshold in np.linspace(1e-3, 3e-3, 21):
+    for threshold in np.linspace(1e-3, 3e-3, 2001):
         link = dataclasses.replace(SMALL.link, harvest_threshold=float(threshold))
         raw = max_boresight_harvest_range(link)
         reach = raw + np.arange(-8, 9) * np.spacing(raw)
@@ -115,11 +117,11 @@ def test_the_budget_runs_on_the_pairs_in_reach_that_face_the_stop(monkeypatch):
     )
     budgeted = []
 
-    def spy(link, distance, incidence):
-        budgeted.append(len(distance))
-        return received_power(link, distance, incidence)
+    def spy(link, dist_sq, cos_inc):
+        budgeted.append(len(dist_sq))
+        return _budget(link, dist_sq, cos_inc)
 
-    monkeypatch.setattr(mission, "received_power", spy)
+    monkeypatch.setattr(mission, "_budget", spy)
     pairs = mission._charging_pairs(link, field, stops)
     raw = max_boresight_harvest_range(link)
     # no pair lies in the kernel's slack beyond the reach, so both ends count alike

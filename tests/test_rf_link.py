@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import reference
+from test_reference import SMALL, WINDOWS
 from wpcnsim import (
     EnergyCosts,
     LinkParams,
+    ScenarioConfig,
     fspl_db,
     harvest_rate,
     max_boresight_harvest_range,
@@ -105,6 +108,25 @@ def test_received_power_flat_pattern_when_exponent_zero():
     flat = dataclasses.replace(LINK, angle_exponent=0.0)
     assert received_power(flat, 1.0, 1.2) == received_power(flat, 1.0, 0.0)
     assert received_power(flat, 1.0, math.pi / 2.0) == 0.0
+
+
+BUDGET_LINKS = {
+    "defaults": ScenarioConfig().link,
+    "small": SMALL.link,
+    "module": LINK,
+    **{name: config.link for name, config in WINDOWS.items()},
+}
+
+
+@pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("link", BUDGET_LINKS.values(), ids=BUDGET_LINKS.keys())
+def test_linear_budget_is_the_papers_db_budget(link, exponent):
+    link = dataclasses.replace(link, angle_exponent=exponent)
+    dist, inc = np.meshgrid(np.geomspace(1e-2, 1e3, 16), np.linspace(0.0, math.pi, 25))
+    expected = [reference.received_power(link, d, i) for d, i in zip(dist.flat, inc.flat)]
+    assert received_power(link, dist, inc).ravel().tolist() == pytest.approx(
+        expected, rel=1e-12, abs=0.0
+    )
 
 
 def test_harvest_rate_reference_value():
