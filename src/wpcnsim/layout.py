@@ -176,27 +176,26 @@ def _target_arcs(field: SensorField, perimeter: float) -> np.ndarray:
 def _stop_positions(path: EllipseSpec, arc_sets) -> np.ndarray:
     """Stop positions of the concatenated arc sets, from one inversion of
     their union: poses_at_arcs works arc by arc, so every set gets the
-    positions its own inversion would give.
+    positions its own inversion would give. Every stop plan is positioned here.
     """
     union, inverse = np.unique(np.concatenate(arc_sets), return_inverse=True)
     return poses_at_arcs(path, union)[0][inverse]
 
 
-def _facing_arcs(path: EllipseSpec, field: SensorField, n_stops: int) -> np.ndarray:
-    """The sorted stop arcs of place_stops_facing, for n_stops >= 1."""
-    targets = _target_arcs(field, path.perimeter)
+def _facing_arcs(targets: np.ndarray, perimeter: float, n_stops: int) -> np.ndarray:
+    """place_stops_facing's sorted stop arcs from the field's _target_arcs, n_stops >= 1."""
     m = targets.shape[0]
     if n_stops <= m:
         return targets[(np.arange(n_stops) * m) // n_stops]
     surplus = n_stops - m
     extras = np.full(m, surplus // m)
     extras[: surplus % m] += 1
-    gaps = np.diff(np.append(targets, targets[0] + path.perimeter))
+    gaps = np.diff(np.append(targets, targets[0] + perimeter))
     # extra j of group i sits j / (extras[i] + 1) of the way along gap i
     group = np.repeat(np.arange(m), extras)
     j = np.arange(1, surplus + 1) - np.repeat(np.cumsum(extras) - extras, extras)
     between = targets[group] + gaps[group] * j / (extras[group] + 1)
-    return np.sort(np.concatenate([targets, between]) % path.perimeter)
+    return np.sort(np.concatenate([targets, between]) % perimeter)
 
 
 @lru_cache(maxsize=256)
@@ -211,8 +210,9 @@ def place_stops_facing(path: EllipseSpec, field: SensorField, n_stops: int) -> S
     """
     if n_stops < 0:
         raise ValueError(f"n_stops must be >= 0, got {n_stops}")
-    arcs = _facing_arcs(path, field, n_stops) if n_stops else np.empty(0)
-    return StopPlan(arcs, poses_at_arcs(path, arcs)[0])
+    targets = _target_arcs(field, path.perimeter)
+    arcs = _facing_arcs(targets, path.perimeter, n_stops) if n_stops else np.empty(0)
+    return StopPlan(arcs, _stop_positions(path, [arcs]))
 
 
 @lru_cache(maxsize=256)
@@ -221,4 +221,4 @@ def place_stops_equal_arcs(path: EllipseSpec, n_stops: int, phase: float = 0.0) 
     if n_stops < 0:
         raise ValueError(f"n_stops must be >= 0, got {n_stops}")
     arcs = equidistant_arcs(path, n_stops, phase) if n_stops else np.empty(0)
-    return StopPlan(arcs, poses_at_arcs(path, arcs)[0])
+    return StopPlan(arcs, _stop_positions(path, [arcs]))

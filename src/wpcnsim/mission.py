@@ -18,16 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import lru_cache, partial
-from operator import attrgetter
 
 import numpy as np
 
-from wpcnsim.geometry import EllipseSpec, ellipse_from_perimeter, equidistant_arcs, poses_at_arcs
+from wpcnsim.geometry import EllipseSpec, ellipse_from_perimeter, equidistant_arcs
 from wpcnsim.layout import (
     SensorField,
     StopPlan,
     _facing_arcs,
     _stop_arcs_error,
+    _stop_positions,
+    _target_arcs,
     place_sensors_even,
     place_sensors_paired,
     place_stops_equal_arcs,  # noqa: F401 -- wpcnbench/tracing.py wraps mission's placers
@@ -208,25 +209,15 @@ def _flight_path(aspect_ratio: float, perimeter: float) -> EllipseSpec:
     return ellipse_from_perimeter(aspect_ratio, perimeter)
 
 
-def _leaf_keys(config: ScenarioConfig):
-    """(owner, key) per config-file key; owner is "link", "costs" or ""."""
+def _leaves(config: ScenarioConfig):
+    """(owner, key, value) per config-file key; owner is "link", "costs" or ""."""
     for field in fields(config):
         value = getattr(config, field.name)
         if is_dataclass(value):
             for sub in fields(value):
-                yield field.name, sub.name
+                yield field.name, sub.name, getattr(value, sub.name)
         else:
-            yield "", field.name
-
-
-# the layout is the dataclasses' own, worked out once
-_LEAF_KEYS = tuple(_leaf_keys(ScenarioConfig()))
-_leaf_values = attrgetter(*(f"{owner}.{key}" if owner else key for owner, key in _LEAF_KEYS))
-
-
-def _leaves(config: ScenarioConfig):
-    """(owner, key, value) per config-file key; owner is "link", "costs" or ""."""
-    return [(owner, key, value) for (owner, key), value in zip(_LEAF_KEYS, _leaf_values(config))]
+            yield "", field.name, value
 
 
 def _stages(config: ScenarioConfig):
@@ -274,7 +265,7 @@ def _stages(config: ScenarioConfig):
     phase = attempt({"phase": "p2_phase"}, equidistant_arcs, path, 1, config.p2_phase)
     rule = None
     if config.placement == "p1" and field is not None:
-        rule = partial(_facing_arcs, path, field)
+        rule = partial(_facing_arcs, _target_arcs(field, path.perimeter), path.perimeter)
     elif config.placement == "p2" and phase is not None:
         rule = partial(equidistant_arcs, path, phase=config.p2_phase)
     return errors, path, field, rule
@@ -451,7 +442,19 @@ def run_mission(config: ScenarioConfig) -> MissionLedger:
     if errors:
         raise ConfigError(errors)
     ((arcs, _),) = plans
-    return simulate_tour(config, path, field, StopPlan(arcs, poses_at_arcs(path, arcs)[0]))
+    return simulate_tour(config, path, field, StopPlan(arcs, _stop_positions(path, [arcs])))
+
+
+def _runs(sizes, cap: int) -> list:
+    """Bounds [0, ..., len(sizes)] of the consecutive runs of sizes, each
+    summing to at most cap; an item larger than cap is a run of its own."""
+    ends = np.cumsum(sizes, dtype=np.int64)
+    bounds = [0]
+    while bounds[-1] < ends.size:
+        a = bounds[-1]
+        b = int(np.searchsorted(ends, (ends[a - 1] if a else 0) + cap, side="right"))
+        bounds.append(max(b, a + 1))
+    return bounds
 
 
 def _charging_pairs(link: LinkParams, field: SensorField, stops: np.ndarray):
@@ -462,11 +465,10 @@ def _charging_pairs(link: LinkParams, field: SensorField, stops: np.ndarray):
     Only sensors within the boresight harvest reach of a stop can charge
     there. With the sensors split by side of the x-axis and each side sorted
     by x, a stop's candidates are the window |dx| <= reach on each side whose
-    y-range comes within reach, so the far side of a loop drops out. Blocks
-    of consecutive stops hold at most _BLOCK candidates (a stop whose windows
-    alone hold more is a block of its own), so the memory beyond the charging
-    pairs stays bounded. The budget runs on the candidates within reach that
-    face the stop alone: the others receive 0 W.
+    y-range comes within reach, so the far side of a loop drops out. Stops
+    go in blocks, _runs of at most _BLOCK candidates, so the memory beyond
+    the charging pairs stays bounded. The budget runs on the candidates
+    within reach that face the stop alone: the others receive 0 W.
     """
     k, n = stops.shape[0], field.n_sensors
     order = np.argsort(field.positions[:, 0], kind="stable")
@@ -496,7 +498,6 @@ def _charging_pairs(link: LinkParams, field: SensorField, stops: np.ndarray):
         near = (stop_ys - reach <= top) & (stop_ys + reach >= bottom)
         counts[:, side] = np.where(near, hi - lo[:, side], 0)
     total = counts.sum(axis=1)
-    ends = np.cumsum(total)
 
     def block(a: int, b: int):
         window = counts[a:b].ravel()
@@ -523,11 +524,7 @@ def _charging_pairs(link: LinkParams, field: SensorField, stops: np.ndarray):
         by_stop = np.argsort((stop - a) * n + sensor, kind="stable")
         return stop[by_stop], sensor[by_stop], rate[by_stop]
 
-    bounds = [0]
-    while bounds[-1] < k:
-        a = bounds[-1]
-        b = int(np.searchsorted(ends, ends[a] - total[a] + _BLOCK, side="right"))
-        bounds.append(max(b, a + 1))
+    bounds = _runs(total, _BLOCK)
     # without stops, one empty block gives the outputs their dtypes
     blocks = [block(a, b) for a, b in zip(bounds, bounds[1:])] or [block(0, 0)]
     return tuple(np.concatenate(column) for column in zip(*blocks))

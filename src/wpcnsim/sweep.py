@@ -5,8 +5,9 @@ and the two calibration solvers.
 A sweep runs case by case. Each case takes its cells' checks and stop
 plans from the pass that run_mission runs at one cell (mission._case):
 the value rules once per case and once per cell whose count or dwell is
-out of range, and one config per dwell. It then inverts and pairs its
-plans in batches and settles all its valid cells at once. Cells are pure
+out of range, one config per dwell, and a p1 case's facing targets
+once. It then inverts and pairs its plans in batches, cut by the pair
+kernel's run rule, and settles all its valid cells at once. Cells are pure
 functions of (base config, cell coordinates), so cases can be spread
 over worker processes without changing a single output bit.
 """
@@ -27,6 +28,7 @@ from wpcnsim.mission import (
     _case,
     _charging_pairs,
     _energy,
+    _runs,
     _settle,
     endurance,
     run_mission,  # noqa: F401 -- wpcnbench/tracing.py wraps sweep.run_mission
@@ -102,25 +104,12 @@ def _per_kilojoule(packets: int, energy: float) -> float:
     return packets / (energy / 1000.0)
 
 
-def _batches(plans):
-    """Consecutive runs of (arcs, cells) plans holding at most _BATCH_STOPS
-    stops; a larger single plan forms a batch of its own."""
-    batch, size = [], 0
-    for plan in plans:
-        if batch and size + plan[0].size > _BATCH_STOPS:
-            yield batch
-            batch, size = [], 0
-        batch.append(plan)
-        size += plan[0].size
-    if batch:
-        yield batch
-
-
 def _sweep_case(case, base: ScenarioConfig, stop_counts: tuple, dwells: tuple) -> dict:
     """The cells of one case keyed (placement, layout, n_stops, dwell), in
     stop count then dwell order, checked and planned by mission._case.
 
-    Each batch of plans takes one inversion of its arcs and one pairing.
+    Each batch of plans, a run of at most _BATCH_STOPS stops by the pair
+    kernel's rule (mission._runs), takes one inversion and one pairing.
     The invalid cells take run_mission's message and the valid ones settle
     together, sensor i of the c-th valid cell under id c * n_sensors + i,
     so no two cells share an account.
@@ -130,7 +119,8 @@ def _sweep_case(case, base: ScenarioConfig, stop_counts: tuple, dwells: tuple) -
     base = dataclasses.replace(base, placement=placement, layout=layout)
     cells, path, field, plans = _case(base, stop_counts, dwells)
     valid, sensors, banked = [], [], []
-    for batch in _batches(plans):
+    runs = _runs([arcs.size for arcs, _ in plans], _BATCH_STOPS)
+    for batch in (plans[a:b] for a, b in zip(runs, runs[1:])):
         arc_sets = [arcs for arcs, _ in batch]
         stop, sensor, rate = _charging_pairs(base.link, field, _stop_positions(path, arc_sets))
         bounds = np.searchsorted(stop, np.cumsum([0] + [arcs.size for arcs in arc_sets])).tolist()

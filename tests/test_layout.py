@@ -197,9 +197,10 @@ def test_batched_facing_plans_match_the_placer(aspect):
     for field in fields:
         m = int(field.cluster_ids.max()) + 1
         counts = range(0, 2 * m + 9)  # past 2m, where gaps take several extras
+        targets = _target_arcs(field, path.perimeter)
         _assert_same_positions(
             path,
-            [_facing_arcs(path, field, k) if k else np.empty(0) for k in counts],
+            [_facing_arcs(targets, path.perimeter, k) if k else np.empty(0) for k in counts],
             [place_stops_facing(path, field, k) for k in counts],
         )
 
@@ -231,4 +232,4 @@ def test_facing_arcs_split_each_gap_as_written():
                 for i in range(m)
             ]
             expected = np.sort(np.concatenate(parts) % path.perimeter)
-            assert np.array_equal(_facing_arcs(path, field, k), expected)
+            assert np.array_equal(_facing_arcs(targets, path.perimeter, k), expected)

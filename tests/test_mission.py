@@ -24,6 +24,7 @@ from wpcnsim.mission import (
     simulate_tour,
     validate_config,
 )
+from wpcnsim.rf_link import EnergyCosts
 from wpcnsim.sweep import sweep
 
 DEFAULTS = ScenarioConfig()
@@ -169,13 +170,13 @@ def test_a_mission_builds_its_geometry_once(monkeypatch):
 
 
 def test_validation_inverts_no_stop_arc_and_a_mission_inverts_its_own_once(monkeypatch):
-    invert, inverted = mission.poses_at_arcs, []
+    invert, inverted = mission._stop_positions, []
 
-    def spy(path, arcs):
-        inverted.append(arcs.size)
-        return invert(path, arcs)
+    def spy(path, arc_sets):
+        inverted.append(sum(arcs.size for arcs in arc_sets))
+        return invert(path, arc_sets)
 
-    monkeypatch.setattr(mission, "poses_at_arcs", spy)
+    monkeypatch.setattr(mission, "_stop_positions", spy)
     for placement in ("p1", "p2"):
         config = dataclasses.replace(DEFAULTS, placement=placement, n_stops=37)
         assert validate_config(config) == [] and inverted == []
@@ -223,6 +224,45 @@ def test_pair_kernel_memory_is_its_pairs_and_a_block():
     finally:
         tracemalloc.stop()
     assert peak <= sum(column.nbytes for column in pairs) + 8 * 2**20
+
+
+def _greedy_runs(sizes, cap):
+    # the rule spelled out: close a nonempty run before an item it cannot take
+    bounds, total = [0], 0
+    for i, size in enumerate(sizes):
+        if i > bounds[-1] and total + size > cap:
+            bounds.append(i)
+            total = 0
+        total += size
+    return bounds + [len(sizes)] if sizes else bounds
+
+
+def test_runs_match_a_greedy_reference():
+    edges = [
+        ([], 5),
+        ([0, 0, 0], 0),
+        ([0, 0, 0], 5),
+        ([3, 2, 5], 5),  # each run exactly at cap
+        ([0, 5, 0, 0, 5, 0], 5),
+        ([9, 1, 1], 5),  # an oversize item first
+        ([1, 1, 9], 5),  # and last
+        ([9, 9], 5),
+    ]
+    rng = np.random.default_rng(7)
+    drawn = [(rng.integers(0, 12, rng.integers(0, 30)).tolist(), int(rng.integers(0, 25)))
+             for _ in range(500)]
+    for sizes, cap in edges + drawn:
+        assert mission._runs(sizes, cap) == _greedy_runs(sizes, cap), (sizes, cap)
+
+
+def test_settle_never_spends_past_the_harvest_beyond_2_53_packets():
+    # 2**53 + 6 J harvested less 3 J spent rounds up to 2**53 + 4 packets,
+    # whose spend would round to 2**53 + 8 J; the guard steps down to 2**53 + 2
+    harvested, spent, packets, pair_packets = mission._settle(
+        np.array([0, 0]), np.array([3.5, 2.0**53 + 2]), 1, EnergyCosts(0.5, 0.5, 0.0)
+    )
+    assert pair_packets.tolist() == [3, 2**53 + 2] and packets.tolist() == [2**53 + 5]
+    assert harvested.tolist() == [2.0**53 + 6] and spent.tolist() == [2.0**53 + 4]
 
 
 def test_non_positive_dwell_is_a_config_error():

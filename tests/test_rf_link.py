@@ -82,6 +82,11 @@ def test_received_power_rejects_bad_incidence():
         received_power(LINK, 1.0, math.pi + 0.1)
 
 
+def test_received_power_rejects_a_zero_distance():
+    with pytest.raises(ValueError, match="distance must be positive"):
+        received_power(LINK, 0.0, 0.0)
+
+
 def test_received_power_strictly_decreasing_in_distance():
     rng = np.random.default_rng(21)
     d = np.sort(rng.uniform(0.2, 30.0, 50))

@@ -259,8 +259,8 @@ def test_stop_counts_whose_cells_all_fail_the_packet_bound_are_not_paired(monkey
 def test_a_plan_that_fails_fails_only_its_own_stop_count(monkeypatch):
     facing_arcs = importlib.import_module("wpcnsim.layout")._facing_arcs
 
-    def repeat_an_arc_at_seven(path, field, n_stops):
-        arcs = facing_arcs(path, field, n_stops)
+    def repeat_an_arc_at_seven(targets, perimeter, n_stops):
+        arcs = facing_arcs(targets, perimeter, n_stops)
         return arcs[np.minimum(np.arange(n_stops), n_stops - 2)] if n_stops == 7 else arcs
 
     for module in ("wpcnsim.layout", "wpcnsim.mission"):
@@ -519,3 +519,17 @@ def test_one_cell_builds_one_config(changes, monkeypatch):
     else:
         run_mission(config)
     assert len(built) == 2
+
+
+def test_a_facing_case_works_out_its_targets_once(monkeypatch):
+    # the targets depend on the field alone, not on the stop count
+    target_arcs, calls = importlib.import_module("wpcnsim.layout")._target_arcs, []
+
+    def counted(field, perimeter):
+        calls.append(field)
+        return target_arcs(field, perimeter)
+
+    for module in ("wpcnsim.layout", "wpcnsim.mission"):
+        monkeypatch.setattr(importlib.import_module(module), "_target_arcs", counted, raising=False)
+    sweep(DEFAULTS, DEFAULT_STOP_COUNTS, DEFAULT_DWELLS, DEFAULT_CASES)
+    assert len(calls) == 2

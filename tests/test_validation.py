@@ -66,12 +66,15 @@ CRASH_CONFIGS = {
     },
     # a boresight rate beyond float range, which the sweep must reject before pairing
     "link-gain-overflow": {"tx_gain_dbi": 4000.0},
+    # a gain whose power of ten overflows Python's float power, not just the product
+    "link-gain-pow-overflow": {"tx_gain_dbi": 7000.0},
     "tx-power-overflow": {"tx_power": 1e308, "tx_gain_dbi": 40.0},
     # an inf boresight rate times a charge that underflows to 0 is a NaN bound
     "charge-underflow": {"tx_gain_dbi": 4000.0, "dwell_time": 1e-300, "phase_split": 1e-300},
     # 0 W through a gain beyond float range: 0 * inf is a NaN received power,
     # whether the transmit gain, the receive gain or the path loss overflows
     "eirp-nan": {"tx_power": 0.0, "tx_gain_dbi": 4000.0},
+    "eirp-pow-nan": {"tx_power": 0.0, "tx_gain_dbi": 7000.0},
     "link-gain-nan": {"tx_power": 0.0, "tx_gain_dbi": 3000.0, "rx_gain_dbi": 1000.0},
     "path-gain-nan": {"tx_power": 0.0, "frequency": 1e-200},
     # a sized path whose speed at t = 0, which arc inversion divides by, is 0
