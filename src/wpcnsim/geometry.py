@@ -40,11 +40,11 @@ _GL5_NODES = np.array((-0.906179845938664, -0.5384693101056831, 0.0, 0.538469310
                        0.906179845938664))
 _GL5_WEIGHTS = np.array((0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
                          0.4786286704993663, 0.23692688505618928))
-# The node grid is the same for every ellipse, so only its sin and cos and
-# the panel half-width are kept, and every table is built from them.
+# The node grid is the same for every ellipse, so only its sin and cos, node-major
+# as (16, _PANELS), and the panel half-width are kept to build every table from.
 _edges = np.linspace(0.0, _TWO_PI, _PANELS + 1)
 _HALF = (_edges[1] - _edges[0]) / 2.0
-_nodes = 0.5 * (_edges[:-1] + _edges[1:])[:, None] + _HALF * _GL_NODES[None, :]
+_nodes = 0.5 * (_edges[:-1] + _edges[1:])[None, :] + _HALF * _GL_NODES[:, None]
 _SIN, _COS = np.sin(_nodes), np.cos(_nodes)
 _SIN.flags.writeable = _COS.flags.writeable = False
 del _edges, _nodes
@@ -90,9 +90,20 @@ def _speed(a: float, b: float, t: np.ndarray) -> np.ndarray:
 
 
 def _arc_table(a: float, b: float) -> np.ndarray:
-    """Cumulative arc length at the _PANELS + 1 parameter knots."""
-    panels = _HALF * (np.sqrt((a * _SIN) ** 2 + (b * _COS) ** 2) * _GL_WEIGHTS).sum(axis=1)
-    cum = np.concatenate(([0.0], np.cumsum(panels)))
+    """Cumulative arc length at the _PANELS + 1 parameter knots, built in two
+    grid-sized buffers; each panel's 16 terms are summed in numpy's pairwise
+    order for 16, written out: the halves, then adjacent pairs down to one."""
+    terms, cos = a * _SIN, b * _COS
+    terms *= terms
+    cos *= cos
+    terms += cos
+    np.sqrt(terms, out=terms)
+    terms *= _GL_WEIGHTS[:, None]
+    terms[:8] += terms[8:]
+    np.add(terms[0:8:2], terms[1:8:2], out=terms[8:12])
+    np.add(terms[8:12:2], terms[9:12:2], out=terms[:2])
+    cum = np.zeros(_PANELS + 1)
+    np.cumsum(_HALF * (terms[0] + terms[1]), out=cum[1:])
     cum.flags.writeable = False
     return cum
 

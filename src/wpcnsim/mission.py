@@ -8,9 +8,9 @@ exactly those sensors, which convert stored energy into measure-and-send
 packet units while the drone pays a fixed receive cost per packet.
 
 validate_config, run_mission and each sweep case check and plan in one
-pass, _case. Each sensor's sums run over its own visits in stop order,
-and records list sensors by ascending id, so repeated runs produce
-bit-identical ledgers.
+pass, _case, which a config validated and then run takes once. Each
+sensor's sums run over its own visits in stop order, and records list
+sensors by ascending id, so repeated runs produce bit-identical ledgers.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from wpcnsim.layout import (
     _stop_arcs_error,
     _stop_positions,
     _target_arcs,
-    place_sensors_even,
-    place_sensors_paired,
+    place_sensors_even,  # noqa: F401 -- wpcnbench/tracing.py wraps mission's placers
+    place_sensors_paired,  # noqa: F401 -- wpcnbench/tracing.py wraps mission's placers
     place_stops_equal_arcs,  # noqa: F401 -- wpcnbench/tracing.py wraps mission's placers
     place_stops_facing,  # noqa: F401 -- wpcnbench/tracing.py wraps mission's placers
 )
@@ -204,7 +204,12 @@ class ConfigError(ValueError):
         self.errors = tuple(errors)
 
 
-@lru_cache(maxsize=32)
+# one slot each, path and field per layout: a sweep's cases alternate two layouts
+_even_field = lru_cache(maxsize=1)(place_sensors_even.__wrapped__)
+_paired_field = lru_cache(maxsize=1)(place_sensors_paired.__wrapped__)
+
+
+@lru_cache(maxsize=1)
 def _flight_path(aspect_ratio: float, perimeter: float) -> EllipseSpec:
     return ellipse_from_perimeter(aspect_ratio, perimeter)
 
@@ -251,12 +256,12 @@ def _stages(config: ScenarioConfig):
     )
     if config.layout == "s1":
         field = attempt(
-            {"standoff": "standoff"}, place_sensors_even, path, config.n_sensors, config.standoff
+            {"standoff": "standoff"}, _even_field, path, config.n_sensors, config.standoff
         )
     else:
         field = attempt(
             {"pair_spacing": "cluster_spacing", "standoff": "standoff"},
-            place_sensors_paired,
+            _paired_field,
             path,
             config.n_sensors,
             config.cluster_spacing,
@@ -401,6 +406,20 @@ def _case(base: ScenarioConfig, stop_counts, dwells):
     return cells, path, field, plans
 
 
+_last = (None, None)  # (repr, _case result) of the last config checked, swapped whole
+
+
+def _checked(config: ScenarioConfig):
+    """_case at config's one cell, kept for the last config checked. The key is
+    its repr, so that a -0.0 for a 0.0, or 1 for 1.0, keeps its own messages."""
+    global _last
+    key, checked = _last
+    if key != repr(config):
+        checked = _case(config, [config.n_stops], [config.dwell_time])
+        _last = repr(config), checked
+    return checked
+
+
 def validate_config(config: ScenarioConfig) -> list:
     """Check every invariant and return all violations, not just the first.
 
@@ -410,7 +429,7 @@ def validate_config(config: ScenarioConfig) -> list:
     message. The stop plan is judged from its arcs, not inverted. Last, the
     packets a mission could count must stay exact in floats.
     """
-    (errors,) = _case(config, [config.n_stops], [config.dwell_time])[0].values()
+    (errors,) = _checked(config)[0].values()
     return list(errors)
 
 
@@ -437,7 +456,7 @@ def max_stops(config: ScenarioConfig, dwell: float) -> int:
 
 def run_mission(config: ScenarioConfig) -> MissionLedger:
     """Build the scenario's layout and stop plan, then simulate the tour."""
-    cells, path, field, plans = _case(config, [config.n_stops], [config.dwell_time])
+    cells, path, field, plans = _checked(config)
     (errors,) = cells.values()
     if errors:
         raise ConfigError(errors)

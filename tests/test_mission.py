@@ -1,9 +1,13 @@
 """Mission engine checks: ledgers, feasibility, carry-over, determinism."""
 
 import dataclasses
+import gc
 import pickle
+import sys
 import tracemalloc
+import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,9 +15,14 @@ import pytest
 from reference import mission_geometry
 from test_reference import SUMMARY_EDGES
 from wpcnsim import mission, received_power
-from wpcnsim.config_io import _MISSION_ARTIFACTS, write_mission_summary
+from wpcnsim.config_io import (
+    _MISSION_ARTIFACTS,
+    parse_config_text,
+    render_config,
+    write_mission_summary,
+)
 from wpcnsim.geometry import ellipse_from_perimeter, poses_at_arcs
-from wpcnsim.layout import StopPlan, place_sensors_even, place_stops_facing
+from wpcnsim.layout import StopPlan, place_sensors_even, place_sensors_paired, place_stops_facing
 from wpcnsim.mission import (
     ConfigError,
     MissionLedger,
@@ -167,6 +176,78 @@ def test_a_mission_builds_its_geometry_once(monkeypatch):
     monkeypatch.setattr(mission, "_stages", counted)
     run_mission(ScenarioConfig())
     assert len(calls) == 1
+
+
+def test_a_parsed_mission_is_checked_once(monkeypatch):
+    case, calls = mission._case, []
+
+    def counted(*args):
+        calls.append(args)
+        return case(*args)
+
+    monkeypatch.setattr(mission, "_case", counted)
+    parsed = parse_config_text(render_config(dataclasses.replace(DEFAULTS, layout="s2")))
+    run_mission(parsed)
+    assert len(calls) == 1
+    # an equal copy is the same check
+    run_mission(dataclasses.replace(parsed))
+    assert len(calls) == 1
+
+
+def test_configs_equal_but_printed_apart_keep_their_own_messages():
+    zero, negative = (dataclasses.replace(DEFAULTS, standoff=s) for s in (0.0, -0.0))
+    assert zero == negative
+    assert validate_config(zero)[0].endswith("got 0.0")
+    assert validate_config(negative)[0].endswith("got -0.0")
+
+
+def test_concurrent_checks_each_get_their_own_config():
+    # the slot is read and replaced as one tuple, so a thread never pairs
+    # another config's result with its own
+    configs = [
+        dataclasses.replace(DEFAULTS, path_perimeter=p, n_sensors=10, n_stops=4)
+        for p in (301.0, 302.0, 303.0, 304.0, 305.0)
+    ]
+
+    def check(offset):
+        for i in range(40):
+            config = configs[(i + offset) % len(configs)]
+            _, path, _, _ = mission._checked(config)
+            assert abs(path.perimeter - config.path_perimeter) <= 1e-9 * config.path_perimeter
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            for future in [pool.submit(check, offset) for offset in range(6)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_mission_keeps_no_earlier_geometry(monkeypatch):
+    stages, refs = mission._stages, []
+
+    def watched(config):
+        errors, path, field, rule = stages(config)
+        refs.append((weakref.ref(path), weakref.ref(field)))
+        return errors, path, field, rule
+
+    monkeypatch.setattr(mission, "_stages", watched)
+    place_sensors_even.cache_clear()
+    place_sensors_paired.cache_clear()
+    for perimeter in (431.5, 432.5, 433.5):
+        config = dataclasses.replace(DEFAULTS, path_perimeter=perimeter)
+        run_mission(parse_config_text(render_config(config)))
+    gc.collect()
+    assert [[ref() is None for ref in pair] for pair in refs] == [
+        [True, True],
+        [True, True],
+        [False, False],
+    ]
+    # the package's own paths leave the public placers' caches alone
+    assert place_sensors_even.cache_info().currsize == 0
+    assert place_sensors_paired.cache_info().currsize == 0
 
 
 def test_validation_inverts_no_stop_arc_and_a_mission_inverts_its_own_once(monkeypatch):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpcnsim import mission
+from wpcnsim import layout, mission
+from wpcnsim.config_io import parse_config_text, render_config
 from wpcnsim.mission import ConfigError, MissionLedger, ScenarioConfig, max_stops, run_mission
 from wpcnsim.rf_link import EnergyCosts
 from wpcnsim.sweep import (
@@ -22,6 +23,7 @@ from wpcnsim.sweep import (
     calibrate_speed,
     calibrate_tx_power,
     clustering_gain,
+    default_sweep,
     clustering_gain_cells,
     efficiency,
     efficiency_curve,
@@ -518,6 +520,27 @@ def test_one_cell_builds_one_config(changes, monkeypatch):
             run_mission(config)
     else:
         run_mission(config)
+    assert len(built) == 1
+
+
+def test_a_sweep_sizes_its_path_once_and_builds_a_field_per_layout(monkeypatch):
+    size, build = mission.ellipse_from_perimeter, layout._field_at_arcs
+    sized, built = [], []
+
+    def counted_size(*args):
+        sized.append(args)
+        return size(*args)
+
+    def counted_build(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(mission, "ellipse_from_perimeter", counted_size)
+    monkeypatch.setattr(layout, "_field_at_arcs", counted_build)
+    # a path no other test flies, so no slot already holds its geometry
+    base = parse_config_text(render_config(dataclasses.replace(DEFAULTS, path_perimeter=517.25)))
+    default_sweep(base)
+    assert len(sized) == 1
     assert len(built) == 2
 
 
