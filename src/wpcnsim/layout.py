@@ -128,7 +128,8 @@ def _field_at_arcs(
     )
 
 
-@lru_cache(maxsize=64)
+# one field per layout: a sweep's cases share one path and alternate two layouts
+@lru_cache(maxsize=1)
 def place_sensors_even(
     path: EllipseSpec, n_sensors: int, standoff: float = 1.0
 ) -> SensorField:
@@ -137,7 +138,7 @@ def place_sensors_even(
     return _field_at_arcs(path, arcs, np.arange(n_sensors), standoff)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def place_sensors_paired(
     path: EllipseSpec, n_sensors: int, pair_spacing: float = 0.1, standoff: float = 1.0
 ) -> SensorField:

